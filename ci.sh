@@ -102,8 +102,17 @@ go run ./cmd/nbodylint ./internal/server/ ./internal/sched/ ./cmd/nbodyd/
 
 # Server chaos benchmark: a job fleet clean vs under the chaos plan
 # (jobs/sec, p50/p99 latency, bitwise agreement after crash retries)
-# plus a drain+restart cycle, recorded in BENCH_PR9.json.
-go run ./cmd/experiments -exp serverchaos -server-out BENCH_PR9.json
+# plus a drain+restart cycle. The record goes to a temporary file, so CI
+# never rewrites the tracked BENCH_PR9.json (regenerate that by hand
+# with -server-out BENCH_PR9.json); the drain+restart cycle must come
+# back bitwise.
+chaos_out=$(mktemp)
+go run ./cmd/experiments -exp serverchaos -server-out "$chaos_out"
+grep -q '"drain_bitwise": true' "$chaos_out" || {
+  echo "serverchaos: drain+restart results are not bitwise identical" >&2
+  exit 1
+}
+rm -f "$chaos_out"
 
 # Job-spec and journal fuzz smoke: mutated specs and journal images
 # against the admission parser and the journal replayer — typed

@@ -6,15 +6,14 @@ import "math"
 // regularized Biot–Savart and Coulomb interactions, evaluated over
 // separate coordinate/weight slices in fixed-width blocks with fully
 // scalarized accumulation. The AoS path (Pairwise.VelocityGrad and
-// friends) is the reference implementation; every expression here
-// mirrors its reference term for term — same operations, same
-// association, same branch structure — so a batched sum over a lane
-// range is bitwise equal to the AoS loop over the same sources in the
-// same order. Constants hoisted out of the loop (σ³, σ⁵, the ζ series)
-// are pure recomputations of loop-invariant subexpressions, which is
-// bitwise-neutral; anything that would reassociate or strength-reduce
-// the per-pair arithmetic (fused accumulation across lanes, reciprocal
-// multiplication for the divisions) is deliberately not done.
+// friends) is the reference implementation. Both layouts take the
+// per-pair radial factors F and F'/|r| from the one function
+// Pairwise.radial, so those are the same bits by construction; this
+// file writes out by hand only the accumulation around them, with the
+// reference's operations, association and order. A batched sum over a
+// lane range is therefore bitwise equal to the AoS loop over the same
+// sources in the same order. Anything that would reassociate the
+// accumulation (fused sums across lanes) is deliberately not done.
 //
 // Zero-separation pairs deserve a note: the AoS kernels return exact
 // zeros which the caller then adds into its accumulator. Adding +0 is
@@ -39,32 +38,17 @@ type VortexAcc struct {
 }
 
 // VortexBatch carries the loop-invariant data of batched vortex
-// evaluation: the kernel, σ and its powers, and the ζ Taylor
-// coefficients. Construct once per target (or per traversal) with
+// evaluation: the pairwise kernel whose radial function every lane
+// calls. Construct once per target (or per traversal) with
 // NewVortexBatch; the struct is read-only afterwards and safe to share
 // across goroutines.
 type VortexBatch struct {
-	sm     Smoothing
-	sigma  float64
-	s3, s5 float64
-	z      [4]float64
-	series bool
+	pw Pairwise
 }
 
-// NewVortexBatch precomputes the per-traversal constants of pw. The
-// power expressions repeat Pairwise.fOf/VelocityGrad exactly so the
-// hoisted values are bitwise identical to the per-pair recomputation.
+// NewVortexBatch returns the batched evaluator of pw.
 func NewVortexBatch(pw Pairwise) VortexBatch {
-	z := pw.Sm.ZetaSeries()
-	return VortexBatch{
-		sm:    pw.Sm,
-		sigma: pw.Sigma,
-		s3:    pw.Sigma * pw.Sigma * pw.Sigma,
-		s5:    pw.Sigma * pw.Sigma * pw.Sigma * pw.Sigma * pw.Sigma,
-		z:     z,
-		//lint:ignore floateq exact zero is the "kernel has no series" flag set by construction, never computed
-		series: z[0] != 0,
-	}
+	return VortexBatch{pw: pw}
 }
 
 // AccumGradRange adds the velocity and velocity-gradient contributions
@@ -108,36 +92,14 @@ func (b *VortexBatch) AccumGradRange(acc *VortexAcc, tx, ty, tz float64, xs, ys,
 			ax, ay, az := ab[k], bb[k], cb[k]
 
 			// Per-pair kernel: Pairwise.VelocityGrad, scalarized.
-			d := math.Sqrt(d2)
-			rho := d / b.sigma
-			var q float64
-			if rho >= hSwitch {
-				q = b.sm.Q(rho)
-			}
-			var f float64
-			if rho < hSwitch && b.series {
-				r2 := rho * rho
-				f = 4 * math.Pi * (b.z[0]/3 + r2*(b.z[1]/5+r2*(b.z[2]/7+r2*(b.z[3]/9)))) / b.s3
-			} else if rho < hSwitch {
-				f = b.sm.Q(rho) / (d2 * d) // singular (series-free) kernel keeps the direct quotient
-			} else {
-				f = q / (d2 * d)
-			}
+			f, g := b.pw.radial(d2)
 			const inv4pi = 1 / (4 * math.Pi)
 			// r × α and the shared scale factors of Pairwise.VelocityGrad.
 			cx := ry*az - rz*ay
 			cy := rz*ax - rx*az
 			cz := rx*ay - ry*ax
 			fs := -f * inv4pi
-			var hq float64
-			if rho < hSwitch {
-				r2 := rho * rho
-				hq = 4 * math.Pi * (2.0/5*b.z[1] + r2*(4.0/7*b.z[2]+r2*(6.0/9*b.z[3])))
-			} else {
-				r5 := rho * rho * rho * rho * rho
-				hq = (rho*b.sm.QPrime(rho) - 3*q) / r5
-			}
-			gs := -(hq / b.s5) * inv4pi
+			gs := -g * inv4pi
 
 			acc.UX += fs * cx
 			acc.UY += fs * cy
@@ -171,35 +133,13 @@ func (b *VortexBatch) AccumGrad(acc *VortexAcc, rx, ry, rz, ax, ay, az float64) 
 	if d2 == 0 {
 		return
 	}
-	d := math.Sqrt(d2)
-	rho := d / b.sigma
-	var q float64
-	if rho >= hSwitch {
-		q = b.sm.Q(rho)
-	}
-	var f float64
-	if rho < hSwitch && b.series {
-		r2 := rho * rho
-		f = 4 * math.Pi * (b.z[0]/3 + r2*(b.z[1]/5+r2*(b.z[2]/7+r2*(b.z[3]/9)))) / b.s3
-	} else if rho < hSwitch {
-		f = b.sm.Q(rho) / (d2 * d)
-	} else {
-		f = q / (d2 * d)
-	}
+	f, g := b.pw.radial(d2)
 	const inv4pi = 1 / (4 * math.Pi)
 	cx := ry*az - rz*ay
 	cy := rz*ax - rx*az
 	cz := rx*ay - ry*ax
 	fs := -f * inv4pi
-	var hq float64
-	if rho < hSwitch {
-		r2 := rho * rho
-		hq = 4 * math.Pi * (2.0/5*b.z[1] + r2*(4.0/7*b.z[2]+r2*(6.0/9*b.z[3])))
-	} else {
-		r5 := rho * rho * rho * rho * rho
-		hq = (rho*b.sm.QPrime(rho) - 3*q) / r5
-	}
-	gs := -(hq / b.s5) * inv4pi
+	gs := -g * inv4pi
 
 	acc.UX += fs * cx
 	acc.UY += fs * cy
@@ -246,15 +186,7 @@ func (b *VortexBatch) AccumVelRange(acc *VortexAcc, tx, ty, tz float64, xs, ys, 
 				continue
 			}
 			rx, ry, rz := dx[k], dy[k], dz[k]
-			d := math.Sqrt(d2)
-			rho := d / b.sigma
-			var f float64
-			if rho < hSwitch && b.series {
-				r2 := rho * rho
-				f = 4 * math.Pi * (b.z[0]/3 + r2*(b.z[1]/5+r2*(b.z[2]/7+r2*(b.z[3]/9)))) / b.s3
-			} else {
-				f = b.sm.Q(rho) / (d2 * d)
-			}
+			f, _ := b.pw.radial(d2)
 			cx := ry*cb[k] - rz*bb[k]
 			cy := rz*ab[k] - rx*cb[k]
 			cz := rx*bb[k] - ry*ab[k]

@@ -19,65 +19,65 @@ import (
 //
 //	∂u_i/∂x_j = −(1/4π) [ (F'(r)/|r|) (r×α)_i r_j + F(r) ε_{ijl} α_l ].
 //
-// F'(r)/|r| = H(ρ)/σ⁵ with H(ρ) = (ρ q'(ρ) − 3 q(ρ))/ρ⁵; H is evaluated
-// from a Taylor series for small ρ because the two terms cancel to
-// leading order there.
+// F'(r)/|r| = H(ρ)/σ⁵ with H(ρ) = (ρ q'(ρ) − 3 q(ρ))/ρ⁵. Both radial
+// factors come from Pairwise.radial, which the batched kernels share.
 type Pairwise struct {
 	Sm    Smoothing
 	Sigma float64
 }
 
-// hSwitch is the scaled radius below which H(ρ) switches to its series
-// form. At the switch point both branches agree to better than 1e-6
-// relative for all kernels in this package (verified by tests): the
-// direct form loses ~4 digits to cancellation there while the series
-// truncation error is O(ρ⁶) ≈ 1e-7.
+// hSwitch is the scaled radius below which the generic (non-algebraic)
+// kernels take F and H from their ζ Taylor series, because the two
+// terms of H cancel to leading order there. At the switch point both
+// branches agree to better than 1e-6 relative for all kernels in this
+// package (verified by tests): the direct form loses ~4 digits to
+// cancellation there while the series truncation error is O(ρ⁶) ≈ 1e-7.
+// The algebraic kernels need no switch: their closed form has the
+// cancellation taken exactly (see algebraic).
 const hSwitch = 0.02
 
-// h evaluates H(ρ) = (ρ q'(ρ) − 3 q(ρ))/ρ⁵.
-func (pw Pairwise) h(rho float64) float64 {
-	return pw.hWithQ(rho, pw.Sm.Q(rho))
-}
-
-// fOf evaluates F(r) = q(ρ)/|r|³. Below hSwitch the quotient is taken
-// through the ζ series of q — q(ρ) = 4π(ζ0 ρ³/3 + ζ1 ρ⁵/5 + …) — whose
-// ρ³ factor cancels |r|³ analytically:
+// radial returns the two radial factors of a pair at squared separation
+// d2 > 0: F = q(ρ)/|r|³ and G = F'(r)/|r| = H(ρ)/σ⁵. For the algebraic
+// kernels, with v = 1/(σ²+|r|²) and y = |r|²v = t²,
 //
-//	F = 4π(ζ0/3 + ζ1 ρ²/5 + ζ2 ρ⁴/7 + ζ3 ρ⁶/9)/σ³.
+//	F = v^(3/2) P(y),   G = v^(5/2) S(y):
 //
-// The direct quotient underflows for denormal separations (q → 0 and
-// |r|³ → 0 produce 0/0 = NaN near |r| ≈ 1e-108), while the series form
-// stays finite down to |r| = 0. The truly singular kernel (q ≡ 1,
-// ζ ≡ 0) keeps the direct form: it has no series and diverges by
-// definition.
-func (pw Pairwise) fOf(rho, d2, d float64) float64 {
-	if rho < hSwitch {
-		//lint:ignore floateq exact zero is the "kernel has no series" flag set by construction, never computed
-		if z := pw.Sm.ZetaSeries(); z[0] != 0 {
-			r2 := rho * rho
-			s3 := pw.Sigma * pw.Sigma * pw.Sigma
-			return 4 * math.Pi * (z[0]/3 + r2*(z[1]/5+r2*(z[2]/7+r2*(z[3]/9)))) / s3
-		}
+// one divide and one square root, finite for every d2 > 0 (as d2 → 0,
+// y → 0 and F → P(0)/σ³ without forming 0/0).
+func (pw Pairwise) radial(d2 float64) (f, g float64) {
+	alg, ok := pw.Sm.(*algebraic)
+	if !ok {
+		return pw.generic(d2)
 	}
-	return pw.Sm.Q(rho) / (d2 * d)
+	v := 1 / (pw.Sigma*pw.Sigma + d2)
+	y := d2 * v
+	w := v * math.Sqrt(v)
+	return w * poly(&alg.pc, y), w * v * poly(&alg.sc, y)
 }
 
-// hWithQ is h for callers that already hold q(ρ): VelocityGrad needs
-// q(ρ) for the velocity anyway, and reusing it here removes one of the
-// two q evaluations from the innermost loop of every interaction
-// (bitwise-neutral — both call sites computed the identical value).
-// The q argument is ignored below hSwitch, where the series form needs
-// no q.
-func (pw Pairwise) hWithQ(rho, q float64) float64 {
+// generic is radial through the Smoothing interface (Gaussian, singular).
+// Below hSwitch it uses the ζ series — q = 4π(ζ0 ρ³/3 + ζ1 ρ⁵/5 + …),
+// whose ρ³ cancels |r|³ analytically, and ρq' − 3q =
+// 4π((2/5)ζ1 ρ⁵ + (4/7)ζ2 ρ⁷ + (6/9)ζ3 ρ⁹ + …) — so F stays finite down
+// to denormal separations, where q/|r|³ would be 0/0. The truly
+// singular kernel (q ≡ 1, ζ ≡ 0) has no series and keeps the direct F.
+func (pw Pairwise) generic(d2 float64) (f, g float64) {
+	d := math.Sqrt(d2)
+	rho := d / pw.Sigma
+	s3 := pw.Sigma * pw.Sigma * pw.Sigma
+	s5 := s3 * pw.Sigma * pw.Sigma
 	if rho < hSwitch {
-		// Series: q = 4π(ζ0 ρ³/3 + ζ2 ρ⁵/5 + ζ4 ρ⁷/7 + ζ6 ρ⁹/9 + …)
-		// ⇒ ρq' − 3q = 4π((2/5)ζ2 ρ⁵ + (4/7)ζ4 ρ⁷ + (6/9)ζ6 ρ⁹ + …).
 		z := pw.Sm.ZetaSeries()
-		r2 := rho * rho
-		return 4 * math.Pi * (2.0/5*z[1] + r2*(4.0/7*z[2]+r2*(6.0/9*z[3])))
+		x := rho * rho
+		g = 4 * math.Pi * (2.0/5*z[1] + x*(4.0/7*z[2]+x*(6.0/9*z[3]))) / s5
+		//lint:ignore floateq exact zero is the "kernel has no series" flag set by construction, never computed
+		if z[0] != 0 {
+			return 4 * math.Pi * (z[0]/3 + x*(z[1]/5+x*(z[2]/7+x*(z[3]/9)))) / s3, g
+		}
+		return pw.Sm.Q(rho) / (d2 * d), g
 	}
-	r5 := rho * rho * rho * rho * rho
-	return (rho*pw.Sm.QPrime(rho) - 3*q) / r5
+	q := pw.Sm.Q(rho)
+	return q / (d2 * d), (rho*pw.Sm.QPrime(rho) - 3*q) / (rho * rho * rho * rho * rho) / s5
 }
 
 // Velocity returns the velocity induced at the target by a source with
@@ -89,9 +89,7 @@ func (pw Pairwise) Velocity(r, alpha vec.Vec3) vec.Vec3 {
 	if d2 == 0 {
 		return vec.Zero3
 	}
-	d := math.Sqrt(d2)
-	rho := d / pw.Sigma
-	f := pw.fOf(rho, d2, d)
+	f, _ := pw.radial(d2)
 	return r.Cross(alpha).Scale(-f / (4 * math.Pi))
 }
 
@@ -103,20 +101,11 @@ func (pw Pairwise) VelocityGrad(r, alpha vec.Vec3) (vec.Vec3, vec.Mat3) {
 	if d2 == 0 {
 		return vec.Zero3, vec.Mat3{}
 	}
-	d := math.Sqrt(d2)
-	rho := d / pw.Sigma
-	var q float64
-	if rho >= hSwitch {
-		q = pw.Sm.Q(rho) // below hSwitch both fOf and hWithQ use the series
-	}
-	f := pw.fOf(rho, d2, d)
+	f, fpOverR := pw.radial(d2)
 	inv4pi := 1 / (4 * math.Pi)
 
 	rxA := r.Cross(alpha)
 	u := rxA.Scale(-f * inv4pi)
-
-	s5 := pw.Sigma * pw.Sigma * pw.Sigma * pw.Sigma * pw.Sigma
-	fpOverR := pw.hWithQ(rho, q) / s5
 
 	grad := vec.Outer(rxA, r).Scale(-fpOverR * inv4pi)
 	// ε_{ijl} α_l term: matrix M with M v = v × α.

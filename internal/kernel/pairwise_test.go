@@ -212,3 +212,22 @@ func BenchmarkVelocityGradAlgebraic6(b *testing.B) {
 	}
 	_ = acc
 }
+
+// BenchmarkAccumGradRangeAlgebraic6 times the batched SoA counterpart of
+// BenchmarkVelocityGradAlgebraic6: one target against a 4096-lane
+// source range (a unit-scale cloud, σ = 0.1), reported per pair.
+func BenchmarkAccumGradRangeAlgebraic6(b *testing.B) {
+	const lanes = 4096
+	xs, ys, zs, axs, ays, azs := randomLanes(rand.New(rand.NewSource(1)), lanes, 0, 0, 0)
+	vb := NewVortexBatch(Pairwise{Sm: Algebraic6(), Sigma: 0.1})
+	var acc VortexAcc
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vb.AccumGradRange(&acc, 0.3, -0.2, 0.5, xs, ys, zs, axs, ays, azs, -1)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/pair")
+	benchSink = acc
+}
+
+// benchSink keeps benchmark results live.
+var benchSink VortexAcc

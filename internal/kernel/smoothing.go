@@ -42,47 +42,74 @@ type Smoothing interface {
 
 // algebraic is a generalized algebraic kernel
 //
-//	ζ(ρ) = (1/4π) (a + b ρ² + c ρ⁴) (1+ρ²)^(−p)
+//	ζ(ρ) = (1/4π) N(ρ²) (1+ρ²)^(−p),  N(x) = a + b x + c x²,  p = n + ½,
 //
-// whose enclosed-circulation function q has the closed form
+// with (a,b,c,p) chosen so that ζ is normalized and the required radial
+// moments vanish (see the constructors below). In y = t² = ρ²/(1+ρ²) its
+// enclosed-circulation function and the gradient factor H are
 //
-//	q(ρ) = a·Ia(t) + b·Ib(t) + c·Ic(t),  t = ρ/√(1+ρ²),
+//	q(ρ) = t³ P(y),   H(ρ) = (ρq' − 3q)/ρ⁵ = (1+ρ²)^(−5/2) S(y),
 //
-// with the I’s polynomials in t obtained from exact antiderivatives. The
-// coefficients (a,b,c,p) are chosen so that ζ is normalized and the
-// required radial moments vanish (see the constructors below).
+// with P and S polynomials of degree n−2 whose coefficients
+// newAlgebraic derives from (a,b,c,n); NUMERICS.md §2 has the
+// derivation. These two tables are all the per-pair kernel needs.
 type algebraic struct {
 	name    string
 	order   int
 	a, b, c float64
-	p       float64 // exponent of (1+ρ²)
-	q       func(t float64) float64
+	p       float64           // exponent of (1+ρ²)
+	pc, sc  [algTerms]float64 // P and S, ascending powers of y
+}
+
+// algTerms bounds the coefficient count of P and S: n−1 for the
+// exponent n+½, so 5 covers every kernel up to sixth order.
+const algTerms = 5
+
+// newAlgebraic builds the kernel with numerator a + bρ² + cρ⁴ and
+// exponent n+½ (n ≥ 2, and no ρ^(2j) term with j > n−2). Substituting
+// s = τ/√(1−τ²) in q = ∫₀^ρ 4πs²ζ(s) ds turns the j-th numerator term
+// into
+//
+//	∫₀^t τ^(2+2j) (1−τ²)^(n−2−j) dτ = Σ_k (−1)^k C(n−2−j, k) t^(3+2j+2k)/(3+2j+2k),
+//
+// so P collects N_j(−1)^k C(n−2−j,k)/(3+2j+2k) at y^(j+k). With
+// x = ρ² = y/(1−y), ρq' = ρ³ N(x)(1+x)^(−n−½) = ρ³(1+x)^(−3/2) R(y),
+// R(y) = Σ_j N_j y^j (1−y)^(n−1−j), hence
+// H = (1+x)^(−3/2) (R(y) − 3P(y))/x. R(0) = a = 3P(0), so R − 3P = y·S(y),
+// and y/x = 1/(1+x) leaves H = (1+x)^(−5/2) S(y) with S_i = R_{i+1} − 3P_{i+1}:
+// the cancellation between ρq' and 3q is taken exactly, in the
+// coefficients.
+func newAlgebraic(name string, order int, a, b, c float64, n int) *algebraic {
+	var p, r [algTerms + 1]float64 // P and R
+	for j, nj := range [3]float64{a, b, c} {
+		for k, bin := 0, 1.0; k <= n-2-j; k++ { // bin = (−1)^k C(n−2−j, k)
+			p[j+k] += nj * bin / float64(3+2*j+2*k)
+			bin = -bin * float64(n-2-j-k) / float64(k+1)
+		}
+		for k, bin := 0, 1.0; k <= n-1-j; k++ { // bin = (−1)^k C(n−1−j, k)
+			r[j+k] += nj * bin
+			bin = -bin * float64(n-1-j-k) / float64(k+1)
+		}
+	}
+	al := &algebraic{name: name, order: order, a: a, b: b, c: c, p: float64(n) + 0.5}
+	copy(al.pc[:], p[:])
+	for i := range al.sc {
+		al.sc[i] = r[i+1] - 3*p[i+1]
+	}
+	return al
 }
 
 func (k *algebraic) Name() string { return k.name }
 func (k *algebraic) Order() int   { return k.order }
 
-// powNegHalfInt computes u^(−(n+½)) = 1/(uⁿ·√u) for u > 0 by repeated
-// multiplication. Every kernel of the algebraic family has a
-// half-integer exponent, and this form avoids math.Pow's exp/log round
-// trip in the innermost loop of every interaction (it agrees with
-// math.Pow to a few ulp, far below the kernels' 1e-6 accuracy budget).
-func powNegHalfInt(u float64, n int) float64 {
-	prod := math.Sqrt(u)
-	for ; n > 0; n-- {
-		prod *= u
-	}
-	return 1 / prod
+// poly evaluates Σ c_i y^i by Horner's rule.
+func poly(c *[algTerms]float64, y float64) float64 {
+	return c[0] + y*(c[1]+y*(c[2]+y*(c[3]+y*c[4])))
 }
 
 func (k *algebraic) Zeta(rho float64) float64 {
 	x := rho * rho
-	n := int(k.p)
-	//lint:ignore floateq exact half-integer exponents are constructor-set constants selecting the sqrt fast path
-	if k.p != float64(n)+0.5 { // non-half-integer exponent: general path
-		return (k.a + x*(k.b+x*k.c)) / (4 * math.Pi) * math.Pow(1+x, -k.p)
-	}
-	return (k.a + x*(k.b+x*k.c)) / (4 * math.Pi) * powNegHalfInt(1+x, n)
+	return (k.a + x*(k.b+x*k.c)) / (4 * math.Pi) * math.Pow(1+x, -k.p)
 }
 
 func (k *algebraic) QPrime(rho float64) float64 {
@@ -91,7 +118,7 @@ func (k *algebraic) QPrime(rho float64) float64 {
 
 func (k *algebraic) Q(rho float64) float64 {
 	t := rho / math.Sqrt(1+rho*rho)
-	return k.q(t)
+	return t * t * t * poly(&k.pc, t*t)
 }
 
 func (k *algebraic) ZetaSeries() [4]float64 {
@@ -114,31 +141,19 @@ func (k *algebraic) ZetaSeries() [4]float64 {
 //
 //	ζ₂(ρ) = (3/4π)(1+ρ²)^(−5/2),   q₂(ρ) = ρ³/(1+ρ²)^(3/2) = t³.
 func Algebraic2() Smoothing {
-	return &algebraic{
-		name: "algebraic2", order: 2,
-		a: 3, b: 0, c: 0, p: 5.0 / 2,
-		q: func(t float64) float64 { return t * t * t },
-	}
+	return newAlgebraic("algebraic2", 2, 3, 0, 0, 2)
 }
 
 // WinckelmansLeonard returns the classical "high-order algebraic" kernel
 // of Winckelmans & Leonard,
 //
-//	ζ(ρ) = (15/8π)(1+ρ²)^(−7/2),   q(ρ) = ρ³(ρ²+5/2)/(1+ρ²)^(5/2).
+//	ζ(ρ) = (15/8π)(1+ρ²)^(−7/2),   q(ρ) = ρ³(ρ²+5/2)/(1+ρ²)^(5/2) = t³(5/2 − (3/2)t²).
 //
 // Its far-field error decays like ρ⁻⁴ although its second radial moment
 // does not vanish; it is included for comparison and carries Order 2 in
 // the strict moment sense used by this package.
 func WinckelmansLeonard() Smoothing {
-	return &algebraic{
-		name: "winckelmans-leonard", order: 2,
-		a: 15.0 / 2, b: 0, c: 0, p: 7.0 / 2,
-		q: func(t float64) float64 {
-			// ρ³(ρ²+5/2)/(1+ρ²)^(5/2) in terms of t²=ρ²/(1+ρ²):
-			// = t³(ρ²+5/2)/(1+ρ²) = t³(t² + (5/2)(1−t²)) = t³(5/2 − (3/2)t²).
-			return t * t * t * (2.5 - 1.5*t*t)
-		},
-	}
+	return newAlgebraic("winckelmans-leonard", 2, 15.0/2, 0, 0, 3)
 }
 
 // Algebraic4 returns the fourth-order member of the generalized algebraic
@@ -148,20 +163,7 @@ func WinckelmansLeonard() Smoothing {
 //
 // with unit mass and vanishing second radial moment.
 func Algebraic4() Smoothing {
-	const a, b = 525.0 / 16, -105.0 / 4
-	return &algebraic{
-		name: "algebraic4", order: 4,
-		a: a, b: b, c: 0, p: 11.0 / 2,
-		q: func(t float64) float64 {
-			t2 := t * t
-			t3 := t2 * t
-			// ∫ s²(1+s²)^(−11/2) ds  = t³/3 − 3t⁵/5 + 3t⁷/7 − t⁹/9
-			// ∫ s⁴(1+s²)^(−11/2) ds  = t⁵/5 − 2t⁷/7 + t⁹/9
-			ia := t3 * (1.0/3 + t2*(-3.0/5+t2*(3.0/7+t2*(-1.0/9))))
-			ib := t3 * t2 * (1.0/5 + t2*(-2.0/7+t2*(1.0/9)))
-			return a*ia + b*ib
-		},
-	}
+	return newAlgebraic("algebraic4", 4, 525.0/16, -105.0/4, 0, 5)
 }
 
 // Algebraic6 returns the sixth-order member of the generalized algebraic
@@ -176,19 +178,7 @@ func Algebraic4() Smoothing {
 //	   + b(t⁵/5 − 3t⁷/7 + t⁹/3 − t¹¹/11)
 //	   + c(t⁷/7 − 2t⁹/9 + t¹¹/11).
 func Algebraic6() Smoothing {
-	const a, b, c = 3675.0 / 64, -735.0 / 8, 105.0 / 8
-	return &algebraic{
-		name: "algebraic6", order: 6,
-		a: a, b: b, c: c, p: 13.0 / 2,
-		q: func(t float64) float64 {
-			t2 := t * t
-			t3 := t2 * t
-			ia := t3 * (1.0/3 + t2*(-4.0/5+t2*(6.0/7+t2*(-4.0/9+t2*(1.0/11)))))
-			ib := t3 * t2 * (1.0/5 + t2*(-3.0/7+t2*(1.0/3+t2*(-1.0/11))))
-			ic := t3 * t2 * t2 * (1.0/7 + t2*(-2.0/9+t2*(1.0/11)))
-			return a*ia + b*ib + c*ic
-		},
-	}
+	return newAlgebraic("algebraic6", 6, 3675.0/64, -735.0/8, 105.0/8, 6)
 }
 
 // gaussian is the second-order Gaussian kernel

@@ -100,9 +100,9 @@ func TestFacadeRejectsBadResilienceConfigs(t *testing.T) {
 	if _, _, err := RunSpaceTime(cfg, sys, 0, 0.1, 2); err == nil {
 		t.Fatal("crash plan without Resilience.Enabled accepted")
 	}
-	// Crash recovery at PS>1 used to be rejected with ErrUnsupported;
-	// the grid-resilient loop (spatial shrink + re-decomposition) now
-	// accepts and survives it.
+	// Crash recovery at PS>1 used to be rejected as an unsupported
+	// configuration; the grid-resilient loop (spatial shrink +
+	// re-decomposition) now accepts and survives it.
 	cfg = chaosConfig(2, 2)
 	cfg.Resilience.FaultPlan = "crash=0@block:0"
 	if _, _, err := RunSpaceTime(cfg, sys, 0, 0.1, 2); err != nil {

@@ -20,16 +20,6 @@ import (
 	"repro/internal/tree"
 )
 
-// ErrUnsupported is the sentinel of capability rejections: the
-// configuration names a combination the solver does not (yet) support.
-// The two historical cases — crash recovery with PS > 1, and the guard
-// layer combined with resilient time stepping at PS > 1 — are both
-// supported since the grid-resilient loop landed (DESIGN.md §12), so
-// the solver currently accepts every well-formed configuration; the
-// sentinel is kept for callers that probe capabilities with
-// errors.Is(err, nbody.ErrUnsupported) and for future rejections.
-var ErrUnsupported = errors.New("nbody: unsupported configuration")
-
 // ErrCanceled is the typed cancellation sentinel of RunSpaceTimeCtx:
 // when the context is canceled (or its deadline expires) the run stops
 // at the next PFASST block boundary and returns an error wrapping this
