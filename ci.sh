@@ -44,20 +44,22 @@ go test -race ./...
 # drivers compiling and running.
 go test -bench . -benchtime 1x -run '^$' ./...
 
-# Layout lane: the façade suite under both particle layouts (the
-# -layout flag pins TestLayoutLane's end-to-end bitwise comparison to
-# the named layout), plus an allocation smoke over the bench_test.go
-# layout benchmarks — the SoA hot path must be allocation-free in
-# steady state (0 allocs/op, averaged over the benchtime iterations).
-go test -count=1 -layout=aos .
-go test -count=1 -layout=soa .
+# Allocation smoke: the steady-state tree Eval benchmark
+# (evalalloc_test.go) must be allocation-free (0 allocs/op, averaged
+# over the benchtime iterations).
 alloc_out=$(mktemp)
-go test -bench 'BenchmarkLayoutEval' -benchtime 20x -benchmem -run '^$' . | tee "$alloc_out"
-grep -E 'BenchmarkLayoutEvalSoA.*[^0-9]0 allocs/op' "$alloc_out" >/dev/null || {
-  echo "SoA hot path is not allocation-free in steady state" >&2
+go test -bench 'BenchmarkSteadyStateEval' -benchtime 20x -benchmem -run '^$' . | tee "$alloc_out"
+grep -E 'BenchmarkSteadyStateEval.*[^0-9]0 allocs/op' "$alloc_out" >/dev/null || {
+  echo "tree Eval hot path is not allocation-free in steady state" >&2
   exit 1
 }
 rm -f "$alloc_out"
+
+# Benchmark-harness lane: perfbench is its own module (replace repro =>
+# ../), so the root go vet/test above never build it. Vetting and
+# testing it here makes a change that breaks the harness's use of the
+# program fail CI rather than the benchmark run.
+(cd perfbench && go vet ./... && go test ./...)
 
 # Chaos lane: the fault-injection and resilience suites once more under
 # the race detector, -count=1 so cached passes don't mask flakiness in
@@ -141,7 +143,7 @@ done
 # function body: no panic, every statement in exactly one block,
 # Preds mirror Succs).
 go test -run '^$' -fuzz FuzzParseIgnoreDirective -fuzztime 10s ./internal/analysis/
-go test -run '^$' -fuzz FuzzEmitJSON -fuzztime 10s ./internal/analysis/
+go test -run '^$' -fuzz '^FuzzEmitJSON$' -fuzztime 10s ./internal/analysis/
 go test -run '^$' -fuzz FuzzEmitJSONReport -fuzztime 10s ./internal/analysis/
 go test -run '^$' -fuzz FuzzCFGBuild -fuzztime 10s ./internal/analysis/
 

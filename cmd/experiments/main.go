@@ -7,7 +7,6 @@
 //	experiments                 # run everything (scaled defaults)
 //	experiments -fig 7a         # a single figure: 1, 5, 7a, 7b, 8
 //	experiments -exp theta-ratio|residuals|speedup-model|phases
-//	experiments -exp bench-pr2  # traversal benchmark (writes BENCH_PR2.json; not part of "all")
 //	experiments -exp chaos      # fault-injection matrix (writes BENCH_PR3.json; not part of "all")
 //	experiments -exp chaos -faultseed 7 -faultplan "drop=0.1,crash=2@iter:1"  # custom crash plan
 //	experiments -exp sdcguard   # bit-flip guard matrix (writes BENCH_PR4.json; not part of "all")
@@ -18,7 +17,6 @@
 //	experiments -branch batched -exp phases       # batched branch exchange (prefetch visible)
 //	experiments -balance -exp phases              # work-weighted domain decomposition
 //	experiments -list           # validate -fig/-exp and list the known names, run nothing
-//	experiments -traversal recursive -exp phases  # per-particle walk instead of interaction lists
 //	experiments -stealgrain 4 -exp phases         # work-stealing chunk size (leaf groups)
 //	experiments -threads 4 -exp phases            # hybrid per-rank worker pool (steals visible)
 //	experiments -csv out/       # additionally write CSV files
@@ -39,7 +37,6 @@ import (
 	"repro/internal/hot"
 	"repro/internal/serverbench"
 	"repro/internal/telemetry"
-	"repro/internal/tree"
 )
 
 func main() {
@@ -47,7 +44,7 @@ func main() {
 	log.SetPrefix("experiments: ")
 	var (
 		fig        = flag.String("fig", "", "figure to regenerate: 1, 5, 7a, 7b, 8 (empty = all)")
-		exp        = flag.String("exp", "", "extra experiment: theta-ratio, residuals, speedup-model, ablations, phases, bench-pr2, bench-pr6, chaos, sdcguard, gridfault, fig5-xt, serverchaos")
+		exp        = flag.String("exp", "", "extra experiment: theta-ratio, residuals, speedup-model, ablations, phases, chaos, sdcguard, gridfault, fig5-xt, serverchaos")
 		faultSeed  = flag.Int64("faultseed", 42, "fault-plan seed of the chaos experiment")
 		faultPlan  = flag.String("faultplan", "", "override the chaos experiment's crash plan (fault.Parse spec)")
 		chaosOut   = flag.String("chaosout", "BENCH_PR3.json", "output path of the chaos record")
@@ -56,14 +53,11 @@ func main() {
 		guardOut   = flag.String("guardout", "BENCH_PR4.json", "output path of the sdcguard record")
 		gridOut    = flag.String("gridout", "BENCH_PR8.json", "output path of the gridfault record")
 		serverOut  = flag.String("server-out", "BENCH_PR9.json", "output path of the serverchaos record")
-		traversal  = flag.String("traversal", "", `tree traversal mode: "list" (default) or "recursive"`)
 		stealGrain = flag.Int("stealgrain", 0, "work-stealing chunk size in leaf groups (0 = automatic)")
 		threads    = flag.Int("threads", 0, "traversal worker goroutines per rank (>1 = hybrid scheduler; phases experiment)")
 		branch     = flag.String("branch", "", `branch exchange mode: "ring" (default) or "batched" (phases experiment)`)
 		balance    = flag.Bool("balance", false, "work-weighted domain decomposition (phases experiment)")
 		list       = flag.Bool("list", false, "validate -fig/-exp, list the known names, and exit without running")
-		benchOut   = flag.String("benchout", "BENCH_PR2.json", "output path of the bench-pr2 record")
-		bench6Out  = flag.String("bench6-out", "BENCH_PR6.json", "output path of the bench-pr6 record")
 		xtOut      = flag.String("xt-out", "BENCH_PR7.json", "output path of the fig5-xt record")
 		csvDir     = flag.String("csv", "", "directory for CSV output")
 		jsonDir    = flag.String("json", "", "directory for telemetry snapshot JSON output")
@@ -73,10 +67,6 @@ func main() {
 	)
 	flag.Parse()
 
-	trav, err := tree.ParseTraversal(*traversal)
-	if err != nil {
-		log.Fatal(err)
-	}
 	brm, err := hot.ParseBranchMode(*branch)
 	if err != nil {
 		log.Fatal(err)
@@ -88,7 +78,7 @@ func main() {
 	// quoted in SCALING.md to keep the handbook honest).
 	figs := []string{"1", "5", "7a", "7b", "8"}
 	exps := []string{"theta-ratio", "residuals", "speedup-model", "ablations",
-		"phases", "bench-pr2", "bench-pr6", "chaos", "sdcguard", "gridfault", "fig5-xt",
+		"phases", "chaos", "sdcguard", "gridfault", "fig5-xt",
 		"serverchaos"}
 	known := func(name string, set []string) bool {
 		for _, s := range set {
@@ -185,7 +175,6 @@ func main() {
 	}
 	if want("phases") || all {
 		pcfg := experiments.DefaultPhases()
-		pcfg.Traversal = trav
 		pcfg.StealGrain = *stealGrain
 		pcfg.Threads = *threads
 		pcfg.Branch = brm
@@ -193,29 +182,6 @@ func main() {
 		snap, tb := experiments.SpaceTimePhases(pcfg)
 		emit("spacetime_phases", tb)
 		emitJSON("spacetime_phases", snap)
-	}
-	// bench-pr2 is opt-in only (minutes of wall time): it races the
-	// recursive+static evaluator against the list+stealing default on
-	// the clustered vortex sheet and records BENCH_PR2.json.
-	if strings.EqualFold(*exp, "bench-pr2") {
-		res, tb := experiments.BenchPR2(experiments.DefaultBenchPR2())
-		emit("bench_pr2", tb)
-		if err := res.WriteJSON(*benchOut); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *benchOut)
-	}
-	// bench-pr6 is opt-in only: it races the struct-of-arrays hot path
-	// against the array-of-structs reference on the clustered vortex
-	// sheet (per-phase breakdowns) and records BENCH_PR6.json, reading
-	// BENCH_PR2.json for the cross-PR throughput baseline if present.
-	if strings.EqualFold(*exp, "bench-pr6") {
-		res, tb := experiments.BenchPR6(experiments.DefaultBenchPR6(), *benchOut)
-		emit("bench_pr6", tb)
-		if err := res.WriteJSON(*bench6Out); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *bench6Out)
 	}
 	// fig5-xt is opt-in only (minutes of wall time): the joint space-time
 	// scaling study — executed branch-exchange before/after, the executed

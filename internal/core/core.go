@@ -28,7 +28,6 @@ import (
 	"repro/internal/pfasst"
 	"repro/internal/sdc"
 	"repro/internal/telemetry"
-	"repro/internal/tree"
 	"repro/internal/vec"
 )
 
@@ -160,18 +159,9 @@ type Config struct {
 	// Threads selects the per-rank traversal worker count (the
 	// Pthreads analog of PEPC; ≤1 = synchronous).
 	Threads int
-	// Traversal selects the force-evaluation strategy of every level's
-	// tree solver: tree.TraversalList (default) or
-	// tree.TraversalRecursive.
-	Traversal tree.TraversalMode
 	// StealGrain tunes the work-stealing chunk size (leaf groups) of
-	// the hybrid list traversal; ≤0 = automatic.
+	// the hybrid traversal; ≤0 = automatic.
 	StealGrain int
-	// Layout selects the evaluation storage of every level's tree
-	// solver: particle.LayoutSoA (the Default) runs the batched
-	// struct-of-arrays kernels, particle.LayoutAoS the reference path.
-	// Results are bitwise equal either way (DESIGN.md §14).
-	Layout particle.Layout
 	// Balance enables cross-rank dynamic load balancing: every force
 	// evaluation routes per-particle interaction counts back to the
 	// particles' owners, and the next evaluation's sample-sort
@@ -245,7 +235,6 @@ func Default(pt, ps int) Config {
 		Iterations: 2, CoarseSweeps: 2,
 		LeafCap: 8,
 		Dipole:  true,
-		Layout:  particle.LayoutSoA,
 	}
 }
 
@@ -321,11 +310,8 @@ func RunSpaceTime(world *mpi.Comm, cfg Config, full *particle.System, t0, t1 flo
 		hcfg := hot.Config{
 			Sm: cfg.Sm, Scheme: cfg.Scheme, Theta: l.Theta,
 			LeafCap: cfg.LeafCap, Dipole: cfg.Dipole, Model: cfg.Model, Threads: cfg.Threads,
-			Traversal: cfg.Traversal, StealGrain: cfg.StealGrain,
-			Layout:          cfg.Layout,
-			WeightedBalance: cfg.Balance,
-			Branch:          cfg.Branch,
-			Tel:             cfg.Tel,
+			StealGrain: cfg.StealGrain, Balance: cfg.Balance,
+			Branch: cfg.Branch, Tel: cfg.Tel,
 		}
 		if grd != nil {
 			hcfg.Hook = grd
@@ -414,11 +400,8 @@ func RunSpaceSerialSDC(spaceComm *mpi.Comm, cfg Config, local *particle.System,
 	solver := hot.New(spaceComm, hot.Config{
 		Sm: cfg.Sm, Scheme: cfg.Scheme, Theta: cfg.ThetaFine,
 		LeafCap: cfg.LeafCap, Dipole: cfg.Dipole, Model: cfg.Model, Threads: cfg.Threads,
-		Traversal: cfg.Traversal, StealGrain: cfg.StealGrain,
-		Layout:          cfg.Layout,
-		WeightedBalance: cfg.Balance,
-		Branch:          cfg.Branch,
-		Tel:             cfg.Tel,
+		StealGrain: cfg.StealGrain, Balance: cfg.Balance,
+		Branch: cfg.Branch, Tel: cfg.Tel,
 	})
 	sys := NewDistVortexSystem(local, solver)
 	sys.Instrument(cfg.Tel, 0)

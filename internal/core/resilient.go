@@ -95,11 +95,8 @@ func gridHotConfig(cfg Config, theta float64, grd *guard.Guard) hot.Config {
 	hcfg := hot.Config{
 		Sm: cfg.Sm, Scheme: cfg.Scheme, Theta: theta,
 		LeafCap: cfg.LeafCap, Dipole: cfg.Dipole, Model: cfg.Model, Threads: 1,
-		Traversal: cfg.Traversal, StealGrain: cfg.StealGrain,
-		Layout:          cfg.Layout,
-		WeightedBalance: cfg.Balance,
-		Branch:          cfg.Branch,
-		Tel:             cfg.Tel,
+		StealGrain: cfg.StealGrain, Balance: cfg.Balance,
+		Branch: cfg.Branch, Tel: cfg.Tel,
 	}
 	if grd != nil {
 		hcfg.Hook = grd

@@ -14,15 +14,11 @@ import (
 	"repro/internal/vec"
 )
 
-// Solver is a direct-summation evaluator. The zero value is not usable;
-// construct with New.
+// Solver is a direct-summation evaluator: every evaluation gathers
+// identity-ordered SoA lanes once and runs the batched kernels, summing
+// sources in index order. The zero value is not usable; construct with
+// New.
 type Solver struct {
-	// Layout selects the evaluation storage: LayoutSoA (the New
-	// default) gathers identity-ordered lanes once per evaluation and
-	// runs the batched kernels; LayoutAoS is the reference loop. Both
-	// sum sources in index order, so they are bitwise equal.
-	Layout particle.Layout
-
 	sm      kernel.Smoothing
 	scheme  kernel.Scheme
 	workers int
@@ -37,7 +33,7 @@ type Solver struct {
 // New returns a direct solver using the given smoothing kernel and
 // stretching scheme. workers ≤ 0 selects GOMAXPROCS.
 func New(sm kernel.Smoothing, scheme kernel.Scheme, workers int) *Solver {
-	return &Solver{sm: sm, scheme: scheme, workers: workers, Layout: particle.LayoutSoA}
+	return &Solver{sm: sm, scheme: scheme, workers: workers}
 }
 
 // Name implements field.Evaluator.
@@ -63,41 +59,20 @@ func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
 	s.interactions.Add(int64(n) * int64(n-1))
 	pw := kernel.Pairwise{Sm: s.sm, Sigma: sys.Sigma}
 	ps := sys.Particles
-
-	if s.Layout == particle.LayoutSoA {
-		l := &s.lanes
-		l.GatherVortex(sys, nil) // identity order: lane p = particle p
-		b := kernel.NewVortexBatch(pw)
-		s.alignedRange(n, func(lo, hi int) {
-			for q := lo; q < hi; q++ {
-				var acc kernel.VortexAcc
-				b.AccumGradRange(&acc, l.X[q], l.Y[q], l.Z[q],
-					l.X, l.Y, l.Z, l.AX, l.AY, l.AZ, q)
-				vel[q] = vec.V3(acc.UX, acc.UY, acc.UZ)
-				grad := vec.Mat3{
-					{acc.G[0], acc.G[1], acc.G[2]},
-					{acc.G[3], acc.G[4], acc.G[5]},
-					{acc.G[6], acc.G[7], acc.G[8]},
-				}
-				stretch[q] = s.scheme.Stretch(grad, ps[q].Alpha)
-			}
-		})
-		return
-	}
-	s.parallelRange(n, func(lo, hi int) {
+	l := &s.lanes
+	l.GatherVortex(sys, nil) // identity order: lane p = particle p
+	b := kernel.NewVortexBatch(pw)
+	s.alignedRange(n, func(lo, hi int) {
 		for q := lo; q < hi; q++ {
-			var u vec.Vec3
-			var grad vec.Mat3
-			xq := ps[q].Pos
-			for p := 0; p < n; p++ {
-				if p == q {
-					continue
-				}
-				du, dg := pw.VelocityGrad(xq.Sub(ps[p].Pos), ps[p].Alpha)
-				u = u.Add(du)
-				grad = grad.Add(dg)
+			var acc kernel.VortexAcc
+			b.AccumGradRange(&acc, l.X[q], l.Y[q], l.Z[q],
+				l.X, l.Y, l.Z, l.AX, l.AY, l.AZ, q)
+			vel[q] = vec.V3(acc.UX, acc.UY, acc.UZ)
+			grad := vec.Mat3{
+				{acc.G[0], acc.G[1], acc.G[2]},
+				{acc.G[3], acc.G[4], acc.G[5]},
+				{acc.G[6], acc.G[7], acc.G[8]},
 			}
-			vel[q] = u
 			stretch[q] = s.scheme.Stretch(grad, ps[q].Alpha)
 		}
 	})
@@ -113,32 +88,15 @@ func (s *Solver) Velocities(sys *particle.System, vel []vec.Vec3) {
 	s.evals.Add(1)
 	s.interactions.Add(int64(n) * int64(n-1))
 	pw := kernel.Pairwise{Sm: s.sm, Sigma: sys.Sigma}
-	ps := sys.Particles
-	if s.Layout == particle.LayoutSoA {
-		l := &s.lanes
-		l.GatherVortex(sys, nil)
-		b := kernel.NewVortexBatch(pw)
-		s.alignedRange(n, func(lo, hi int) {
-			for q := lo; q < hi; q++ {
-				var acc kernel.VortexAcc
-				b.AccumVelRange(&acc, l.X[q], l.Y[q], l.Z[q],
-					l.X, l.Y, l.Z, l.AX, l.AY, l.AZ, q)
-				vel[q] = vec.V3(acc.UX, acc.UY, acc.UZ)
-			}
-		})
-		return
-	}
-	s.parallelRange(n, func(lo, hi int) {
+	l := &s.lanes
+	l.GatherVortex(sys, nil)
+	b := kernel.NewVortexBatch(pw)
+	s.alignedRange(n, func(lo, hi int) {
 		for q := lo; q < hi; q++ {
-			var u vec.Vec3
-			xq := ps[q].Pos
-			for p := 0; p < n; p++ {
-				if p == q {
-					continue
-				}
-				u = u.Add(pw.Velocity(xq.Sub(ps[p].Pos), ps[p].Alpha))
-			}
-			vel[q] = u
+			var acc kernel.VortexAcc
+			b.AccumVelRange(&acc, l.X[q], l.Y[q], l.Z[q],
+				l.X, l.Y, l.Z, l.AX, l.AY, l.AZ, q)
+			vel[q] = vec.V3(acc.UX, acc.UY, acc.UZ)
 		}
 	})
 }
@@ -152,51 +110,24 @@ func (s *Solver) Coulomb(sys *particle.System, eps float64, pot []float64, f []v
 	}
 	s.evals.Add(1)
 	s.interactions.Add(int64(n) * int64(n-1))
-	ps := sys.Particles
-	if s.Layout == particle.LayoutSoA {
-		l := &s.lanes
-		l.GatherCoulomb(sys, nil)
-		s.alignedRange(n, func(lo, hi int) {
-			for q := lo; q < hi; q++ {
-				var acc kernel.CoulombAcc
-				kernel.AccumCoulombRange(&acc, l.X[q], l.Y[q], l.Z[q], eps,
-					l.X, l.Y, l.Z, l.Q, q)
-				pot[q] = acc.Phi
-				f[q] = vec.V3(acc.EX, acc.EY, acc.EZ)
-			}
-		})
-		return
-	}
-	s.parallelRange(n, func(lo, hi int) {
+	l := &s.lanes
+	l.GatherCoulomb(sys, nil)
+	s.alignedRange(n, func(lo, hi int) {
 		for q := lo; q < hi; q++ {
-			phi := 0.0
-			var e vec.Vec3
-			xq := ps[q].Pos
-			for p := 0; p < n; p++ {
-				if p == q {
-					continue
-				}
-				dphi, de := kernel.Coulomb(xq.Sub(ps[p].Pos), ps[p].Charge, eps)
-				phi += dphi
-				e = e.Add(de)
-			}
-			pot[q] = phi
-			f[q] = e
+			var acc kernel.CoulombAcc
+			kernel.AccumCoulombRange(&acc, l.X[q], l.Y[q], l.Z[q], eps,
+				l.X, l.Y, l.Z, l.Q, q)
+			pot[q] = acc.Phi
+			f[q] = vec.V3(acc.EX, acc.EY, acc.EZ)
 		}
 	})
 }
 
-// parallelRange distributes [0,n) over the worker pool with the
-// work-stealing scheduler; every index is processed exactly once and
-// each target's sum is independent, so results do not depend on the
-// schedule.
-func (s *Solver) parallelRange(n int, fn func(lo, hi int)) {
-	sched.Run(s.workers, n, 0, func(_, lo, hi int) { fn(lo, hi) })
-}
-
-// alignedRange is parallelRange with claim and steal boundaries on
-// BatchWidth multiples, so every worker's SoA inner loops start on a
-// full batch block.
+// alignedRange distributes [0,n) over the worker pool with the
+// work-stealing scheduler, claim and steal boundaries on BatchWidth
+// multiples so every worker's SoA inner loops start on a full batch
+// block. Every index is processed exactly once and each target's sum
+// is independent, so results do not depend on the schedule.
 func (s *Solver) alignedRange(n int, fn func(lo, hi int)) {
 	sched.RunAligned(s.workers, n, 0, kernel.BatchWidth, func(_, lo, hi int) { fn(lo, hi) })
 }

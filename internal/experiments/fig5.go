@@ -79,8 +79,7 @@ func Fig5Executed(cfg Fig5Config) ([]Fig5ExecPoint, *Table, *Table) {
 			s := hot.New(c, hot.Config{
 				Sm: kernel.Algebraic2(), Scheme: kernel.Transpose,
 				Theta: cfg.Theta, Eps: cfg.Eps, Model: &model,
-				Layout: particle.LayoutSoA,
-				Tel:    reg,
+				Tel: reg,
 			})
 			pot := make([]float64, local.N())
 			ef := make([]vec.Vec3, local.N())

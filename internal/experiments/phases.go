@@ -9,7 +9,6 @@ import (
 	"repro/internal/particle"
 	"repro/internal/pfasst"
 	"repro/internal/telemetry"
-	"repro/internal/tree"
 )
 
 // PhasesConfig parameterizes the space-time phase-breakdown run.
@@ -18,9 +17,7 @@ type PhasesConfig struct {
 	N      int // particles
 	NSteps int // must be a multiple of PT
 	Seed   int64
-	// Traversal selects the tree evaluator (TraversalList is the
-	// default); StealGrain tunes the work-stealing chunk size.
-	Traversal  tree.TraversalMode
+	// StealGrain tunes the work-stealing chunk size.
 	StealGrain int
 	// Threads > 1 selects the hybrid per-rank traversal (worker pool +
 	// communication goroutine), the path where hot.steals and
@@ -48,7 +45,6 @@ func DefaultPhases() PhasesConfig {
 func SpaceTimePhases(cfg PhasesConfig) (telemetry.Snapshot, *Table) {
 	full := particle.RandomVortexBlob(cfg.N, 0.05, cfg.Seed)
 	ccfg := core.Default(cfg.PT, cfg.PS)
-	ccfg.Traversal = cfg.Traversal
 	ccfg.StealGrain = cfg.StealGrain
 	if cfg.Threads > 0 {
 		ccfg.Threads = cfg.Threads

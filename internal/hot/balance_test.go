@@ -28,7 +28,7 @@ func imbalanceAfter(t *testing.T, weighted bool, evals int) float64 {
 	t.Helper()
 	full := skewedCloud(1200, 51)
 	cfg := defaultCfg(0.4)
-	cfg.WeightedBalance = weighted
+	cfg.Balance = weighted
 	const p = 4
 	var imb float64
 	err := mpi.Run(p, func(c *mpi.Comm) error {
@@ -51,7 +51,7 @@ func imbalanceAfter(t *testing.T, weighted bool, evals int) float64 {
 	return imb
 }
 
-func TestWeightedBalanceReducesImbalance(t *testing.T) {
+func TestBalanceReducesImbalance(t *testing.T) {
 	unweighted := imbalanceAfter(t, false, 2)
 	weighted := imbalanceAfter(t, true, 2)
 	if unweighted < 1.1 {
@@ -63,12 +63,12 @@ func TestWeightedBalanceReducesImbalance(t *testing.T) {
 	}
 }
 
-func TestWeightedBalancePreservesResults(t *testing.T) {
+func TestBalancePreservesResults(t *testing.T) {
 	// Balancing only moves ownership; the forces must be unchanged.
 	full := skewedCloud(400, 53)
 	cfgU := defaultCfg(0)
 	cfgW := defaultCfg(0)
-	cfgW.WeightedBalance = true
+	cfgW.Balance = true
 	velU, strU, _ := runEval(t, full, 3, cfgU)
 	velW, strW, _ := runEval(t, full, 3, cfgW)
 	for i := range velU {
@@ -96,7 +96,7 @@ func TestAllFeaturesCombined(t *testing.T) {
 	model := machine.BlueGeneP()
 	cfg := defaultCfg(0.4)
 	cfg.Threads = 3
-	cfg.WeightedBalance = true
+	cfg.Balance = true
 	cfg.Model = &model
 	var last Stats
 	vt, err := mpi.RunTimed(4, mpi.BlueGeneP(), func(c *mpi.Comm) error {

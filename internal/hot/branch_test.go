@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/particle"
-	"repro/internal/tree"
 	"repro/internal/vec"
 )
 
@@ -104,7 +103,6 @@ func TestBatchedBranchHybridBitwise(t *testing.T) {
 	bat := ring
 	bat.Branch = BranchBatched
 	bat.Threads = 3
-	bat.Traversal = tree.TraversalList
 	vr, sr, _ := runEval(t, full, p, ring)
 	vb, sb, _ := runEval(t, full, p, bat)
 	for i := range vr {

@@ -68,12 +68,11 @@ type Config struct {
 	// Model, when non-nil, advances the rank's virtual clock with the
 	// modeled compute cost of each phase.
 	Model *machine.CostModel
-	// WeightedBalance enables work-based domain decomposition: the
-	// splitter choice weights each particle by its interaction count
-	// from the previous evaluation, the load-balancing strategy of
-	// PEPC. The first evaluation (no history) falls back to uniform
-	// weights.
-	WeightedBalance bool
+	// Balance enables work-based domain decomposition: the splitter
+	// choice weights each particle by its interaction count from the
+	// previous evaluation, the load-balancing strategy of PEPC. The
+	// first evaluation (no history) falls back to uniform weights.
+	Balance bool
 	// Threads is the number of traversal worker goroutines per rank —
 	// the analog of PEPC's node-level Pthreads layer (Section III-A):
 	// workers traverse the tree while a dedicated communication
@@ -89,14 +88,8 @@ type Config struct {
 	// with the exchange (DESIGN.md §15). Results are bitwise identical
 	// either way.
 	Branch BranchMode
-	// Traversal selects the local evaluation strategy:
-	// tree.TraversalList (the default) amortizes one MAC walk per leaf
-	// group into near/far interaction lists and, in hybrid mode,
-	// schedules leaf groups with work stealing; tree.TraversalRecursive
-	// is the per-particle walk with static block splits.
-	Traversal tree.TraversalMode
 	// StealGrain is the work-stealing chunk size in leaf groups for the
-	// hybrid list traversal (≤0: automatic).
+	// hybrid traversal (≤0: automatic).
 	StealGrain int
 	// Tel, when non-nil, receives this rank's per-phase timings and
 	// work counters (see probe.go for the metric names). The registry
@@ -108,11 +101,6 @@ type Config struct {
 	// rebuild on detection). The rebuild loop is collective-free, so
 	// ranks may retry independently. Nil costs nothing.
 	Hook tree.BuildHook
-	// Layout selects the local-tree evaluation storage: LayoutSoA
-	// gathers Morton-sorted lanes at build so the near/far list legs
-	// run the batched kernels; LayoutAoS (the zero value) is the
-	// reference path. Bitwise equal either way (DESIGN.md §14).
-	Layout particle.Layout
 }
 
 // Stats describes the work of the most recent evaluation on this rank.
@@ -153,7 +141,7 @@ type Solver struct {
 	meter *machine.Meter
 
 	// workWeights holds, per origin-local particle, the interaction
-	// count of the previous evaluation (WeightedBalance only).
+	// count of the previous evaluation (Balance only).
 	workWeights []float64
 }
 
@@ -306,7 +294,7 @@ func (s *Solver) run(sys *particle.System, disc tree.Discipline, vel, stretch []
 		comm.Advance(s.meter.Sort(sys.N(), nGlobal))
 	}
 	weightOf := func(i int) float64 {
-		if !s.cfg.WeightedBalance || len(s.workWeights) != sys.N() || s.workWeights[i] <= 0 {
+		if !s.cfg.Balance || len(s.workWeights) != sys.N() || s.workWeights[i] <= 0 {
 			return 1
 		}
 		return s.workWeights[i]
@@ -359,7 +347,7 @@ func (s *Solver) run(sys *particle.System, disc tree.Discipline, vel, stretch []
 			Discipline: disc,
 			Domain:     &dom,
 			OwnedLo:    myLo, OwnedHi: myHi, OwnedSet: true,
-			Layout: s.cfg.Layout,
+			Layout: particle.LayoutSoA,
 		})
 		if s.meter != nil {
 			comm.Advance(s.meter.TreeBuild(local.N()))
@@ -408,50 +396,22 @@ func (s *Solver) run(sys *particle.System, disc tree.Discipline, vel, stretch []
 	s.probe.branch.Observe(st.TBranch)
 	telemetry.LabelPhase(PhaseTraverse)
 
-	// Phase 5: traversal with on-demand remote fetch — synchronous or
-	// hybrid (worker goroutines + communication goroutine).
+	// Phase 5: traversal with on-demand remote fetch — one interaction
+	// list per local leaf group, evaluated synchronously or by the
+	// hybrid worker pool (worker goroutines + communication goroutine).
+	// A rank without local particles has no groups but still runs the
+	// termination protocol, serving its peers' fetches.
 	outVel := make([]vec.Vec3, local.N())
 	outStr := make([]vec.Vec3, local.N())
 	outPot := make([]float64, local.N())
 	outE := make([]vec.Vec3, local.N())
 	workPer := make([]float64, local.N())
-	traverseRange := func(lo, hi int, advanceDiv float64) travCounts {
-		var tc travCounts
-		for q := lo; q < hi; q++ {
-			switch disc {
-			case tree.Vortex:
-				res := rt.vortexAt(local.Particles[q].Pos, q)
-				outVel[q] = res.U
-				outStr[q] = s.cfg.Scheme.Stretch(res.Grad, local.Particles[q].Alpha)
-				tc.inter += res.Interactions
-				tc.accepts += res.CellAccepts
-				tc.rejects += res.Rejects
-				workPer[q] = float64(res.Interactions)
-				if s.meter != nil {
-					comm.Advance(s.meter.Vortex(res.Interactions, advanceDiv))
-				}
-			case tree.Coulomb:
-				res := rt.coulombAt(local.Particles[q].Pos, q)
-				outPot[q] = res.Phi
-				outE[q] = res.E
-				tc.inter += res.Interactions
-				tc.accepts += res.CellAccepts
-				tc.rejects += res.Rejects
-				workPer[q] = float64(res.Interactions)
-				if s.meter != nil {
-					comm.Advance(s.meter.Coulomb(res.Interactions, advanceDiv))
-				}
-			}
-		}
-		return tc
-	}
 	var groups []int32
-	if s.cfg.Traversal == tree.TraversalList && rt.ltree != nil {
+	if rt.ltree != nil {
 		groups = rt.ltree.LeafGroups()
 	}
-	// groupRange is the list-mode analog of traverseRange over leaf
-	// groups: one interaction-list build per group, then per-particle
-	// list evaluation (bitwise identical to the recursive walk).
+	// groupRange evaluates leaf groups [glo, ghi): one interaction-list
+	// build per group, then per-particle list evaluation.
 	groupRange := func(glo, ghi int, advanceDiv float64) travCounts {
 		var tc travCounts
 		hl := getHotList()
@@ -491,19 +451,10 @@ func (s *Solver) run(sys *particle.System, disc tree.Discipline, vel, stretch []
 		putHotList(hl)
 		return tc
 	}
-	switch {
-	case groups != nil && rt.hybrid:
-		rt.traverseHybridSched(len(groups), groupRange)
-	case groups != nil:
+	if rt.hybrid {
+		rt.traverseHybrid(len(groups), groupRange)
+	} else {
 		tc := groupRange(0, len(groups), 1)
-		st.Interactions += tc.inter
-		st.MACAccepts += tc.accepts
-		st.MACRejects += tc.rejects
-		rt.finish()
-	case rt.hybrid:
-		rt.traverseHybrid(traverseRange)
-	default:
-		tc := traverseRange(0, local.N(), 1)
 		st.Interactions += tc.inter
 		st.MACAccepts += tc.accepts
 		st.MACRejects += tc.rejects
@@ -548,7 +499,7 @@ func (s *Solver) run(sys *particle.System, disc tree.Discipline, vel, stretch []
 	if disc == tree.Coulomb {
 		recSize = 6
 	}
-	if s.cfg.WeightedBalance {
+	if s.cfg.Balance {
 		if len(s.workWeights) != sys.N() {
 			s.workWeights = make([]float64, sys.N())
 		}
@@ -565,7 +516,7 @@ func (s *Solver) run(sys *particle.System, disc tree.Discipline, vel, stretch []
 				pot[idx] = vals[off+1]
 				ef[idx] = vec.V3(vals[off+2], vals[off+3], vals[off+4])
 			}
-			if s.cfg.WeightedBalance {
+			if s.cfg.Balance {
 				s.workWeights[idx] = vals[off+recSize-1]
 			}
 		}
@@ -768,15 +719,6 @@ func (rt *evalRT) cellParts(g *gcell) []particle.Particle {
 	return ps
 }
 
-// vortexAt traverses the global tree for one local target particle.
-//
-//lint:hotpath per-particle global traversal: runs once per target particle per evaluation
-func (rt *evalRT) vortexAt(x vec.Vec3, skipLocal int) tree.VortexResult {
-	var res tree.VortexResult
-	rt.vortexWalk(&res, 1, x, skipLocal)
-	return res
-}
-
 // accumVortexFar folds one MAC-accepted global cell into res.
 func (rt *evalRT) accumVortexFar(res *tree.VortexResult, g *gcell, x vec.Vec3) {
 	r := x.Sub(g.nd.Centroid)
@@ -804,9 +746,9 @@ func (rt *evalRT) accumVortexParts(res *tree.VortexResult, parts []particle.Part
 // vortexWalk runs the per-particle global traversal from the cell with
 // parent key startPk, accumulating into res (it does not reset res).
 // Local branch cells delegate to the local tree; remote cells are
-// fetched on demand. The list evaluator reuses this walk for cells
-// whose group-level MAC decision is ambiguous, which keeps both
-// evaluation strategies bitwise identical.
+// fetched on demand. The list evaluator runs this walk for cells
+// whose group-level MAC decision is ambiguous, so those cells see the
+// exact per-particle decisions.
 func (rt *evalRT) vortexWalk(res *tree.VortexResult, startPk uint64, x vec.Vec3, skipLocal int) {
 	theta := rt.s.cfg.Theta
 	theta2 := theta * theta
@@ -853,15 +795,6 @@ func (rt *evalRT) vortexWalk(res *tree.VortexResult, startPk uint64, x vec.Vec3,
 	}
 	ws.buf = stack
 	rt.walkPool.Put(ws)
-}
-
-// coulombAt is vortexAt for the Coulomb discipline.
-//
-//lint:hotpath per-particle global traversal: runs once per target particle per evaluation
-func (rt *evalRT) coulombAt(x vec.Vec3, skipLocal int) tree.CoulombResult {
-	var res tree.CoulombResult
-	rt.coulombWalk(&res, 1, x, skipLocal)
-	return res
 }
 
 // accumCoulombFar folds one MAC-accepted global cell into res.
@@ -1076,20 +1009,27 @@ func (g *gcell) resolved() bool {
 }
 
 // hybridFetch resolves a remote cell through the communication
-// goroutine, deduplicating concurrent requests for the same cell.
+// goroutine, deduplicating concurrent requests for the same cell: each
+// cell is requested at most once per evaluation, as in the synchronous
+// path.
 func (rt *evalRT) hybridFetch(g *gcell) {
 	for {
-		rt.mu.RLock()
-		done := g.resolved()
-		rt.mu.RUnlock()
-		if done {
-			return
-		}
 		rt.pendMu.Lock()
 		if wait, busy := rt.inflight[g.pkey]; busy {
 			rt.pendMu.Unlock()
 			<-wait // another worker is fetching this cell
 			continue
+		}
+		// Checked under pendMu: a fetch that finished after the
+		// caller saw g unresolved applied its reply before dropping
+		// its inflight entry, so g reads resolved here and is not
+		// requested a second time.
+		rt.mu.RLock()
+		done := g.resolved()
+		rt.mu.RUnlock()
+		if done {
+			rt.pendMu.Unlock()
+			return
 		}
 		wait := make(chan struct{})
 		resp := make(chan []byte, 1)
@@ -1112,57 +1052,6 @@ func (rt *evalRT) hybridFetch(g *gcell) {
 		rt.pendMu.Unlock()
 		close(wait)
 		return
-	}
-}
-
-// traverseHybrid runs the Pthreads-analog traversal: Threads worker
-// goroutines split the local targets while a communication goroutine
-// serves remote-cell requests, routes replies, and executes the
-// termination protocol (every rank sends DONE to rank 0 — including
-// rank 0 to itself — and rank 0 broadcasts SHUTDOWN once all have
-// finished). The modeled compute time is divided by the worker count:
-// the node's cores traverse concurrently.
-func (rt *evalRT) traverseHybrid(traverseRange func(lo, hi int, advanceDiv float64) travCounts) {
-	p := rt.comm.Size()
-	commDone := make(chan struct{})
-	if p > 1 {
-		go rt.commLoop(commDone)
-	} else {
-		close(commDone)
-	}
-
-	workers := rt.s.cfg.Threads
-	n := rt.local.N()
-	if workers > n && n > 0 {
-		workers = n
-	}
-	var inter, accepts, rejects atomic.Int64
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	if chunk < 1 {
-		chunk = 1
-	}
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			tc := traverseRange(lo, hi, float64(workers))
-			inter.Add(tc.inter)
-			accepts.Add(tc.accepts)
-			rejects.Add(tc.rejects)
-		}(lo, hi)
-	}
-	wg.Wait()
-	rt.stats.Interactions += inter.Load()
-	rt.stats.MACAccepts += accepts.Load()
-	rt.stats.MACRejects += rejects.Load()
-	if p > 1 {
-		rt.comm.Send(0, tagDone, nil)
-		<-commDone
 	}
 }
 

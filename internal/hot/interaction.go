@@ -11,13 +11,13 @@ package hot
 //     coulombWalk, accumulating into the running result), and
 //   - local segments (owner-local branch cells, delegated to the local
 //     tree's list builder; evaluated into a sub-result that is then
-//     added, exactly like the recursive path's VortexAtNode call).
+//     added, exactly like the per-particle walk's VortexAtNode call).
 //
 // Conservative classification plus exact fallback keeps the list
-// evaluation bitwise identical to the recursive traversal, and —
-// because a group-opened cell is opened by *every* particle of the
-// group — the set of remote cells fetched is identical too, so the
-// mpi.sends counter of the determinism regression is unaffected.
+// evaluation bitwise identical to a per-particle walk of the global
+// tree, and — because a group-opened cell is opened by *every*
+// particle of the group — the set of remote cells fetched is identical
+// too.
 
 import (
 	"sync"
@@ -125,7 +125,9 @@ func (rt *evalRT) buildGroupList(hl *hotList, gc, ge vec.Vec3) {
 }
 
 // vortexAtList evaluates one target against the group's interaction
-// list; the summation order matches vortexAt exactly.
+// list; the summation order matches a vortexWalk from the root exactly.
+//
+//lint:hotpath per-target list evaluation: runs once per target particle per evaluation
 func (rt *evalRT) vortexAtList(hl *hotList, x vec.Vec3, skipLocal int) tree.VortexResult {
 	var res tree.VortexResult
 	res.Rejects = hl.opens
@@ -152,6 +154,8 @@ func (rt *evalRT) vortexAtList(hl *hotList, x vec.Vec3, skipLocal int) tree.Vort
 }
 
 // coulombAtList is vortexAtList for the Coulomb discipline.
+//
+//lint:hotpath per-target list evaluation: runs once per target particle per evaluation
 func (rt *evalRT) coulombAtList(hl *hotList, x vec.Vec3, skipLocal int) tree.CoulombResult {
 	var res tree.CoulombResult
 	res.Rejects = hl.opens
@@ -178,12 +182,16 @@ func (rt *evalRT) coulombAtList(hl *hotList, x vec.Vec3, skipLocal int) tree.Cou
 	return res
 }
 
-// traverseHybridSched is traverseHybrid with the work-stealing
-// scheduler over leaf groups instead of static index blocks: Threads
-// workers claim and steal group ranges while the communication
-// goroutine serves remote-cell traffic. Steal counts and per-worker
-// busy time land in Stats and telemetry (hot.steals, hot.worker_busy).
-func (rt *evalRT) traverseHybridSched(nGroups int, evalRange func(lo, hi int, advanceDiv float64) travCounts) {
+// traverseHybrid runs the Pthreads-analog traversal: Threads workers
+// claim and steal leaf-group ranges with the work-stealing scheduler
+// while a communication goroutine serves remote-cell requests, routes
+// replies, and executes the termination protocol (every rank sends
+// DONE to rank 0 — including rank 0 to itself — and rank 0 broadcasts
+// SHUTDOWN once all have finished). The modeled compute time is
+// divided by the worker count: the node's cores traverse concurrently.
+// Steal counts and per-worker busy time land in Stats and telemetry
+// (hot.steals, hot.worker_busy).
+func (rt *evalRT) traverseHybrid(nGroups int, evalRange func(lo, hi int, advanceDiv float64) travCounts) {
 	p := rt.comm.Size()
 	commDone := make(chan struct{})
 	if p > 1 {

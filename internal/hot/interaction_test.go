@@ -1,41 +1,23 @@
 package hot
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/mpi"
 	"repro/internal/particle"
-	"repro/internal/tree"
 	"repro/internal/vec"
 )
 
-// TestListMatchesRecursiveAcrossRanks: the interaction-list traversal
-// (the default) must be bitwise identical to the per-particle
-// recursive traversal — results AND work counters — at any rank count
-// and θ, including the fetch count (the conservative group walk opens
-// exactly the cells every particle would open).
+// TestListMatchesRecursiveAcrossRanks: the interaction-list evaluator
+// must give bitwise-identical results and identical work counters on
+// every rank whether its leaf groups run synchronously (Threads ≤ 1)
+// or on the hybrid worker pool with work stealing (Threads = 4, grain
+// 1), at any rank count and θ. That includes the fetch count: the set
+// of remote cells the group walks open does not depend on which worker
+// builds which list.
 func TestListMatchesRecursiveAcrossRanks(t *testing.T) {
-	full := particle.SphericalVortexSheet(particle.DefaultSheet(500))
-	for _, p := range []int{1, 3, 5} {
-		for _, theta := range []float64{0, 0.45} {
-			cfgList := defaultCfg(theta)
-			cfgList.Traversal = tree.TraversalList
-			cfgRec := defaultCfg(theta)
-			cfgRec.Traversal = tree.TraversalRecursive
-			velL, strL, stL := runEval(t, full, p, cfgList)
-			velR, strR, stR := runEval(t, full, p, cfgRec)
-			for i := range velL {
-				if velL[i] != velR[i] || strL[i] != strR[i] {
-					t.Fatalf("p=%d θ=%.2f: particle %d differs: list %v/%v recursive %v/%v",
-						p, theta, i, velL[i], strL[i], velR[i], strR[i])
-				}
-			}
-			if stL.Interactions != stR.Interactions || stL.MACAccepts != stR.MACAccepts ||
-				stL.MACRejects != stR.MACRejects || stL.Fetches != stR.Fetches {
-				t.Fatalf("p=%d θ=%.2f: counters differ: list %+v recursive %+v", p, theta, stL, stR)
-			}
-		}
-	}
+	checkHybridMatchesSync(t, particle.SphericalVortexSheet(particle.DefaultSheet(500)), false)
 }
 
 // TestHybridListStealingDeterminism: with the work-stealing scheduler
@@ -59,40 +41,78 @@ func TestHybridListStealingDeterminism(t *testing.T) {
 	}
 }
 
-// TestCoulombListMatchesRecursive: same bitwise agreement for the
-// Coulomb discipline.
+// TestCoulombListMatchesRecursive: the same synchronous-vs-hybrid
+// agreement for the Coulomb discipline.
 func TestCoulombListMatchesRecursive(t *testing.T) {
-	full := particle.HomogeneousCoulomb(300, 5)
-	const p = 3
-	run := func(mode tree.TraversalMode) ([]float64, []vec.Vec3) {
-		n := full.N()
-		pot := make([]float64, n)
-		f := make([]vec.Vec3, n)
-		err := mpi.Run(p, func(c *mpi.Comm) error {
-			local := BlockPartition(full, c.Rank(), p)
-			lp := make([]float64, local.N())
-			lf := make([]vec.Vec3, local.N())
-			cfg := defaultCfg(0.5)
-			cfg.Eps = 0.01
-			cfg.Traversal = mode
-			s := New(c, cfg)
-			s.Coulomb(local, lp, lf)
-			base := n * c.Rank() / p
-			copy(pot[base:], lp)
-			copy(f[base:], lf)
-			c.Barrier()
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	checkHybridMatchesSync(t, particle.HomogeneousCoulomb(300, 5), true)
+}
+
+// checkHybridMatchesSync runs full synchronously and on the hybrid
+// pool at P ∈ {1, 3, 5} and θ ∈ {0, 0.45} and requires bitwise equal
+// results plus equal Interactions, MACAccepts, MACRejects and Fetches
+// on every rank.
+func checkHybridMatchesSync(t *testing.T, full *particle.System, coulomb bool) {
+	t.Helper()
+	for _, p := range []int{1, 3, 5} {
+		for _, theta := range []float64{0, 0.45} {
+			cfgSync := defaultCfg(theta)
+			cfgSync.Eps = 0.01
+			cfgHyb := cfgSync
+			cfgHyb.Threads = 4
+			cfgHyb.StealGrain = 1
+			outS, stS := evalAllRanks(t, full, p, cfgSync, coulomb)
+			outH, stH := evalAllRanks(t, full, p, cfgHyb, coulomb)
+			for i := range outS {
+				if math.Float64bits(outS[i]) != math.Float64bits(outH[i]) {
+					t.Fatalf("p=%d θ=%.2f: particle %d component %d differs: sync %v hybrid %v",
+						p, theta, i/6, i%6, outS[i], outH[i])
+				}
+			}
+			for r := range stS {
+				s, h := stS[r], stH[r]
+				if s.Interactions != h.Interactions || s.MACAccepts != h.MACAccepts ||
+					s.MACRejects != h.MACRejects || s.Fetches != h.Fetches {
+					t.Fatalf("p=%d θ=%.2f rank %d: counters differ: sync %+v hybrid %+v", p, theta, r, s, h)
+				}
+			}
 		}
-		return pot, f
 	}
-	potL, fL := run(tree.TraversalList)
-	potR, fR := run(tree.TraversalRecursive)
-	for i := range potL {
-		if potL[i] != potR[i] || fL[i] != fR[i] {
-			t.Fatalf("particle %d differs: list %v/%v recursive %v/%v", i, potL[i], fL[i], potR[i], fR[i])
+}
+
+// evalAllRanks runs one collective evaluation of full on p ranks —
+// vortex, or Coulomb when coulomb is set — and returns six outputs per
+// particle in the original order (velocity and stretching, or field
+// and potential) plus every rank's Stats.
+func evalAllRanks(t *testing.T, full *particle.System, p int, cfg Config, coulomb bool) ([]float64, []Stats) {
+	t.Helper()
+	n := full.N()
+	out := make([]float64, 6*n)
+	stats := make([]Stats, p)
+	err := mpi.Run(p, func(c *mpi.Comm) error {
+		local := BlockPartition(full, c.Rank(), p)
+		m := local.N()
+		a := make([]vec.Vec3, m)
+		b := make([]vec.Vec3, m)
+		s := New(c, cfg)
+		if coulomb {
+			pot := make([]float64, m)
+			s.Coulomb(local, pot, a)
+			for i := range pot {
+				b[i].X = pot[i]
+			}
+		} else {
+			s.Eval(local, a, b)
 		}
+		base := n * c.Rank() / p
+		for i := 0; i < m; i++ {
+			copy(out[6*(base+i):], []float64{a[i].X, a[i].Y, a[i].Z, b[i].X, b[i].Y, b[i].Z})
+		}
+		stats[c.Rank()] = s.Last
+		c.Barrier()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return out, stats
 }

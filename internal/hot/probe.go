@@ -26,9 +26,9 @@ const (
 	// round-trip the traversal did not pay.
 	CounterPrefetched = "hot.prefetched"
 	// CounterSteals counts successful work-stealing operations of the
-	// hybrid traversal's scheduler (zero in synchronous or recursive
-	// mode). Deliberately NOT part of the determinism regression: the
-	// steal count depends on OS scheduling, the results do not.
+	// hybrid traversal's scheduler (zero in synchronous mode).
+	// Deliberately NOT part of the determinism regression: the steal
+	// count depends on OS scheduling, the results do not.
 	CounterSteals = "hot.steals"
 
 	GaugeNLocal        = "hot.nlocal"

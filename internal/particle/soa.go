@@ -1,15 +1,14 @@
 package particle
 
-import "fmt"
-
 // Layout selects the particle storage the force evaluators walk.
 type Layout int
 
 const (
 	// LayoutAoS is the array-of-structs reference layout: evaluators
 	// read []Particle through the Morton permutation. It is the zero
-	// value so that zero-configured components keep their historical
-	// behavior; the façade defaults to LayoutSoA.
+	// value of tree.BuildConfig.Layout; the production evaluators
+	// always build LayoutSoA trees, and the layout equivalence tests
+	// use AoS trees as their bitwise reference.
 	LayoutAoS Layout = iota
 	// LayoutSoA is the struct-of-arrays hot-path layout: positions and
 	// weights live in separate Morton-sorted slices (an SoA mirror
@@ -23,19 +22,6 @@ func (l Layout) String() string {
 		return "soa"
 	}
 	return "aos"
-}
-
-// ParseLayout parses a layout selector: "soa" (also the "" default)
-// or "aos".
-func ParseLayout(s string) (Layout, error) {
-	switch s {
-	case "", "soa":
-		return LayoutSoA, nil
-	case "aos":
-		return LayoutAoS, nil
-	default:
-		return LayoutSoA, fmt.Errorf("unknown layout %q (want aos or soa)", s)
-	}
 }
 
 // SoA is a struct-of-arrays mirror of a System: one slice per

@@ -3,7 +3,9 @@
 //
 // Jobs arrive as strict JSON specs (JobSpec), pass admission control
 // (bounded queue depth, per-tenant queued quotas and running caps),
-// and execute on a shared bounded worker pool (internal/sched.Pool).
+// and execute on a fixed set of Workers goroutines, each of which pops
+// its next job only once it is free — so a job leaves the queue only
+// when it can start, and the queue bound holds exactly.
 // Every lifecycle transition is write-ahead journaled to an
 // append-only, per-record-checksummed NBLJ log, and every run
 // checkpoints each committed PFASST block — so the daemon can be
@@ -36,10 +38,10 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
 
@@ -82,8 +84,9 @@ type Daemon struct {
 	cfg     Config
 	tel     *telemetry.Registry
 	journal *Journal
-	pool    *sched.Pool
 	q       *admitQueue
+	workers sync.WaitGroup
+	running atomic.Int64
 
 	rootCtx    context.Context
 	rootCancel context.CancelCauseFunc
@@ -95,14 +98,13 @@ type Daemon struct {
 	draining bool
 	drained  chan struct{}
 
-	dispatchDone chan struct{}
-	drainOnce    sync.Once
-	drainErr     error
+	drainOnce sync.Once
+	drainErr  error
 }
 
 // New opens (or creates) the state directory, replays the journal,
 // re-enqueues every job without a terminal record, and starts the
-// worker pool. A corrupt journal (or a journaled spec that no longer
+// workers. A corrupt journal (or a journaled spec that no longer
 // parses) returns a typed error and no daemon — never a silent fresh
 // start.
 func New(cfg Config) (*Daemon, error) {
@@ -136,24 +138,24 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	rootCtx, rootCancel := context.WithCancelCause(context.Background())
 	d := &Daemon{
-		cfg:          cfg,
-		tel:          telemetry.New(),
-		journal:      journal,
-		pool:         sched.NewPool(cfg.Workers),
-		q:            newAdmitQueue(cfg.QueueDepth, cfg.TenantMaxQueued, cfg.TenantMaxRunning),
-		rootCtx:      rootCtx,
-		rootCancel:   rootCancel,
-		jobs:         make(map[uint64]*job),
-		drained:      make(chan struct{}),
-		dispatchDone: make(chan struct{}),
+		cfg:        cfg,
+		tel:        telemetry.New(),
+		journal:    journal,
+		q:          newAdmitQueue(cfg.QueueDepth, cfg.TenantMaxQueued, cfg.TenantMaxRunning),
+		rootCtx:    rootCtx,
+		rootCancel: rootCancel,
+		jobs:       make(map[uint64]*job),
+		drained:    make(chan struct{}),
 	}
 	if err := d.replay(recs); err != nil {
 		journal.Close()
-		d.pool.Close()
 		rootCancel(nil)
 		return nil, err
 	}
-	go d.dispatch()
+	d.workers.Add(cfg.Workers)
+	for w := 0; w < cfg.Workers; w++ {
+		go d.worker()
+	}
 	return d, nil
 }
 
@@ -223,27 +225,22 @@ func (d *Daemon) replay(recs []Record) error {
 	return nil
 }
 
-// dispatch moves eligible queued jobs onto the worker pool until the
-// queue closes.
-func (d *Daemon) dispatch() {
-	defer close(d.dispatchDone)
+// worker runs queued jobs one at a time until the queue closes. It
+// pops only when it is free, so a popped job starts at once: the
+// queue never holds a job that is neither queued nor running, and
+// QueueDepth bounds every job not yet running.
+func (d *Daemon) worker() {
+	defer d.workers.Done()
 	for {
 		j := d.q.pop()
 		if j == nil {
 			return
 		}
-		accepted := d.pool.Submit(func() {
-			d.runJob(j)
-			d.q.release(j.spec.Tenant)
-			d.tel.Gauge("server.jobs.running").Set(float64(d.pool.Running()))
-		})
 		d.tel.Gauge("server.queue.depth").Set(float64(d.q.lenQueued()))
-		d.tel.Gauge("server.jobs.running").Set(float64(d.pool.Running()))
-		if !accepted {
-			d.q.release(j.spec.Tenant)
-			j.finish(StateInterrupted, ErrDraining, 0)
-			return
-		}
+		d.tel.Gauge("server.jobs.running").Set(float64(d.running.Add(1)))
+		d.runJob(j)
+		d.q.release(j.spec.Tenant)
+		d.tel.Gauge("server.jobs.running").Set(float64(d.running.Add(-1)))
 	}
 }
 
@@ -395,7 +392,8 @@ func (d *Daemon) Draining() bool {
 
 // Drain gracefully shuts the daemon down: stop admission, mark queued
 // jobs interrupted, cancel running jobs (they stop at their next block
-// boundary, checkpoint intact), wait for the pool, close the journal.
+// boundary, checkpoint intact), wait for the workers, close the
+// journal.
 // Interrupted jobs keep no terminal record — a restart on the same
 // state directory owes and resumes them. When the chaos plan calls
 // for a kill-during-drain, running jobs are canceled with
@@ -414,17 +412,16 @@ func (d *Daemon) Drain() error {
 			cause = ErrKilledDuringDrain
 		}
 
+		// Closing the queue stops every worker's next pop; canceling
+		// the root context reaches every attempt context (and retry
+		// backoff sleep) at once, so running jobs stop at their next
+		// block boundary and the wait below ends.
 		d.q.close()
-		// Canceling the root context reaches every attempt context
-		// (and retry backoff sleep) at once; it must precede the wait
-		// on the dispatcher, which may be blocked handing a job to a
-		// pool whose workers only free once running jobs stop.
 		d.rootCancel(cause)
-		<-d.dispatchDone
 		for _, j := range d.q.drainQueued() {
 			j.finish(StateInterrupted, cause, 0)
 		}
-		d.pool.Close()
+		d.workers.Wait()
 		d.journal.Close()
 		close(d.drained)
 		if killed {

@@ -8,13 +8,13 @@ import (
 	"repro/internal/vec"
 )
 
-// benchEval times one full Eval (build + traversal) of the clustered
-// vortex sheet under the given traversal mode; the CI smoke lane runs
-// it with -benchtime 1x to keep both evaluators compiling and working.
-func benchEval(b *testing.B, mode TraversalMode) {
+// BenchmarkEvalListStealing times one full Eval (build + list
+// traversal with work stealing) of the spherical vortex sheet; the CI
+// smoke lane runs it with -benchtime 1x to keep the evaluator compiling
+// and working.
+func BenchmarkEvalListStealing(b *testing.B) {
 	sys := particle.SphericalVortexSheet(particle.DefaultSheet(2000))
 	s := NewSolver(kernel.Algebraic6(), kernel.Transpose, 0.45)
-	s.Traversal = mode
 	vel := make([]vec.Vec3, sys.N())
 	str := make([]vec.Vec3, sys.N())
 	b.ResetTimer()
@@ -26,6 +26,3 @@ func benchEval(b *testing.B, mode TraversalMode) {
 	b.ReportMetric(float64(st.Interactions)/float64(st.Evaluations), "inter/eval")
 	b.ReportMetric(float64(s.LastSched.Steals), "steals")
 }
-
-func BenchmarkEvalListStealing(b *testing.B)    { benchEval(b, TraversalList) }
-func BenchmarkEvalRecursiveStatic(b *testing.B) { benchEval(b, TraversalRecursive) }

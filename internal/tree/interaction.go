@@ -1,7 +1,6 @@
 package tree
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -27,44 +26,12 @@ import (
 //     per-particle walk for that subtree.
 //
 // Because ambiguous cells fall back to the *same* per-particle
-// predicate and stack discipline as the recursive traversal, and
-// because the group walk pushes children in the same order, the list
-// evaluation sums exactly the same floating-point terms in exactly the
-// same order as the recursive traversal — the two are bitwise equal,
-// which is what keeps the determinism regression green with the list
-// evaluator as the default.
-
-// TraversalMode selects how the tree and hot evaluators traverse the
-// tree.
-type TraversalMode int
-
-const (
-	// TraversalList is the default: one MAC walk per leaf group
-	// emitting near/far interaction lists, evaluated in flat loops.
-	TraversalList TraversalMode = iota
-	// TraversalRecursive is the classic per-particle stack traversal —
-	// kept as the reference implementation and benchmark baseline.
-	TraversalRecursive
-)
-
-func (m TraversalMode) String() string {
-	if m == TraversalRecursive {
-		return "recursive"
-	}
-	return "list"
-}
-
-// ParseTraversal parses a traversal mode name ("list" or "recursive").
-func ParseTraversal(s string) (TraversalMode, error) {
-	switch s {
-	case "", "list":
-		return TraversalList, nil
-	case "recursive":
-		return TraversalRecursive, nil
-	default:
-		return TraversalList, fmt.Errorf("unknown traversal mode %q (want list or recursive)", s)
-	}
-}
+// predicate and stack discipline as the per-particle walk
+// (VortexAtNodeMAC/CoulombAtNode), and because the group walk pushes
+// children in the same order, the list evaluation sums exactly the
+// same floating-point terms in exactly the same order as that walk
+// would: the two are bitwise equal, which is what the list-vs-walk
+// tests pin.
 
 // GroupClass is the outcome of the conservative group-level MAC test.
 type GroupClass int

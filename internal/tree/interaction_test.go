@@ -1,12 +1,12 @@
 package tree
 
 // Property tests for the two-phase interaction-list evaluator: across
-// θ ∈ {0, 0.3, 0.6} and all MAC kinds it must agree with the
-// per-particle recursive traversal to ≤1 ulp per component (by
-// construction the agreement is bitwise: conservative group
-// classification plus exact fallback reproduces the recursive
-// summation order term for term), and its results must not depend on
-// the work-stealing schedule.
+// θ ∈ {0, 0.3, 0.6} and all MAC kinds the Solver must agree with the
+// per-particle walk (VortexAtNodeMAC / CoulombAtNode on the same tree)
+// to ≤1 ulp per component (by construction the agreement is bitwise:
+// conservative group classification plus exact fallback reproduces
+// the walk's summation order term for term), and its results must not
+// depend on the work-stealing schedule.
 
 import (
 	"math"
@@ -62,26 +62,35 @@ func TestListMatchesRecursiveVortex(t *testing.T) {
 		for _, mac := range []MACKind{MACBarnesHut, MACBMax, MACMinDist} {
 			for _, theta := range []float64{0, 0.3, 0.6} {
 				n := sys.N()
-				mk := func(mode TraversalMode) (*Solver, []vec.Vec3, []vec.Vec3) {
-					s := NewSolver(kernel.Algebraic6(), kernel.Transpose, theta)
-					s.MAC = mac
-					s.Traversal = mode
-					s.Workers = 4
-					vel := make([]vec.Vec3, n)
-					str := make([]vec.Vec3, n)
-					s.Eval(sys, vel, str)
-					return s, vel, str
+				s := NewSolver(kernel.Algebraic6(), kernel.Transpose, theta)
+				s.MAC = mac
+				s.Workers = 4
+				velL := make([]vec.Vec3, n)
+				strL := make([]vec.Vec3, n)
+				s.Eval(sys, velL, strL)
+
+				// The oracle: one per-particle walk per target on the
+				// tree the list evaluator just used.
+				tr := s.LastTree
+				pw := kernel.Pairwise{Sm: s.Sm, Sigma: sys.Sigma}
+				velW := make([]vec.Vec3, n)
+				strW := make([]vec.Vec3, n)
+				var walkInter int64
+				for q := range sys.Particles {
+					p := &sys.Particles[q]
+					res := tr.VortexAtNodeMAC(mac, tr.Root, p.Pos, theta, q, pw, s.Dipole)
+					velW[q] = res.U
+					strW[q] = s.Scheme.Stretch(res.Grad, p.Alpha)
+					walkInter += res.Interactions
 				}
-				sL, velL, strL := mk(TraversalList)
-				sR, velR, strR := mk(TraversalRecursive)
-				if d := maxUlpsVec(velL, velR); d > 1 {
+				if d := maxUlpsVec(velL, velW); d > 1 {
 					t.Errorf("%s mac=%v θ=%.1f: velocity differs by %d ulp", name, mac, theta, d)
 				}
-				if d := maxUlpsVec(strL, strR); d > 1 {
+				if d := maxUlpsVec(strL, strW); d > 1 {
 					t.Errorf("%s mac=%v θ=%.1f: stretching differs by %d ulp", name, mac, theta, d)
 				}
-				if li, ri := sL.Stats().Interactions, sR.Stats().Interactions; li != ri {
-					t.Errorf("%s mac=%v θ=%.1f: interaction counts differ: list=%d recursive=%d", name, mac, theta, li, ri)
+				if li := s.Stats().Interactions; li != walkInter {
+					t.Errorf("%s mac=%v θ=%.1f: interaction counts differ: list=%d walk=%d", name, mac, theta, li, walkInter)
 				}
 			}
 		}
@@ -93,24 +102,32 @@ func TestListMatchesRecursiveCoulomb(t *testing.T) {
 	const eps = 0.01
 	for _, theta := range []float64{0, 0.3, 0.6} {
 		n := sys.N()
-		mk := func(mode TraversalMode) ([]float64, []vec.Vec3) {
-			s := NewSolver(kernel.Algebraic6(), kernel.Transpose, theta)
-			s.Traversal = mode
-			s.Workers = 4
-			pot := make([]float64, n)
-			f := make([]vec.Vec3, n)
-			s.Coulomb(sys, eps, pot, f)
-			return pot, f
+		s := NewSolver(kernel.Algebraic6(), kernel.Transpose, theta)
+		s.Workers = 4
+		potL := make([]float64, n)
+		fL := make([]vec.Vec3, n)
+		s.Coulomb(sys, eps, potL, fL)
+
+		tr := s.LastTree
+		potW := make([]float64, n)
+		fW := make([]vec.Vec3, n)
+		var walkInter int64
+		for q := range sys.Particles {
+			res := tr.CoulombAtNode(tr.Root, sys.Particles[q].Pos, theta, eps, q)
+			potW[q] = res.Phi
+			fW[q] = res.E
+			walkInter += res.Interactions
 		}
-		potL, fL := mk(TraversalList)
-		potR, fR := mk(TraversalRecursive)
 		for i := range potL {
-			if d := ulps(potL[i], potR[i]); d > 1 {
+			if d := ulps(potL[i], potW[i]); d > 1 {
 				t.Fatalf("θ=%.1f: potential[%d] differs by %d ulp", theta, i, d)
 			}
 		}
-		if d := maxUlpsVec(fL, fR); d > 1 {
+		if d := maxUlpsVec(fL, fW); d > 1 {
 			t.Errorf("θ=%.1f: field differs by %d ulp", theta, d)
+		}
+		if li := s.Stats().Interactions; li != walkInter {
+			t.Errorf("θ=%.1f: interaction counts differ: list=%d walk=%d", theta, li, walkInter)
 		}
 	}
 }

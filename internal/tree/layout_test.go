@@ -24,13 +24,62 @@ func maxUlpVec(a, b vec.Vec3) uint64 {
 	return m
 }
 
-func layoutSolver(sm kernel.Smoothing, theta float64, trav TraversalMode, layout particle.Layout, workers int) *Solver {
-	s := NewSolver(sm, kernel.Transpose, theta)
-	s.Traversal = trav
-	s.Layout = layout
-	s.Workers = workers
-	return s
+// layoutTrees builds sys twice — once with AoS records only, once with
+// SoA lanes — plus the interaction lists of the Solver's default target
+// groups, built on the AoS tree. The layout does not touch the node
+// geometry, so the same lists drive both trees.
+func layoutTrees(t *testing.T, sys *particle.System, disc Discipline, theta float64) (aos, soa *Tree, groups []int32, lists []InteractionList) {
+	t.Helper()
+	cfg := BuildConfig{LeafCap: 8, Discipline: disc}
+	aos = Build(sys, cfg)
+	cfg.Layout = particle.LayoutSoA
+	soa = Build(sys, cfg)
+	if aos.Lanes != nil || soa.Lanes == nil {
+		t.Fatal("layout did not select the storage: AoS tree must have no lanes, SoA tree must")
+	}
+	if len(aos.Nodes) != len(soa.Nodes) {
+		t.Fatalf("node count depends on the layout: aos %d, soa %d", len(aos.Nodes), len(soa.Nodes))
+	}
+	groups = aos.Groups(8)
+	lists = make([]InteractionList, len(groups))
+	for gi, g := range groups {
+		nd := &aos.Nodes[g]
+		gc, ge := aos.GroupBounds(nd.First, nd.Count)
+		aos.AppendInteractionList(&lists[gi], MACBarnesHut, theta, int32(aos.Root), gc, ge)
+	}
+	return aos, soa, groups, lists
 }
+
+// vortexOn evaluates every particle on tr group by group, through the
+// group's interaction list or (walk) by the per-particle walk from the
+// root, and returns velocities and stretching terms by original index.
+func vortexOn(tr *Tree, sys *particle.System, sm kernel.Smoothing, theta float64, groups []int32, lists []InteractionList, walk bool) (vel, str []vec.Vec3) {
+	vel = make([]vec.Vec3, sys.N())
+	str = make([]vec.Vec3, sys.N())
+	pw := kernel.Pairwise{Sm: sm, Sigma: sys.Sigma}
+	for gi, g := range groups {
+		nd := &tr.Nodes[g]
+		for i := nd.First; i < nd.First+nd.Count; i++ {
+			q := tr.Order[i]
+			p := &sys.Particles[q]
+			var res VortexResult
+			if walk {
+				res = tr.VortexAtNodeMAC(MACBarnesHut, tr.Root, p.Pos, theta, q, pw, true)
+			} else {
+				res = tr.EvalVortexList(&lists[gi], MACBarnesHut, theta, p.Pos, q, pw, true)
+			}
+			vel[q] = res.U
+			str[q] = kernel.Transpose.Stretch(res.Grad, p.Alpha)
+		}
+	}
+	return vel, str
+}
+
+// evalModes names the two evaluation legs of vortexOn/coulombOn.
+var evalModes = []struct {
+	name string
+	walk bool
+}{{"list", false}, {"walk", true}}
 
 var layoutKernels = []string{
 	"algebraic2", "algebraic4", "algebraic6",
@@ -39,12 +88,12 @@ var layoutKernels = []string{
 
 // TestLayoutSweepEquivalence is the SoA↔AoS property-sweep matrix of
 // the equivalence contract: θ ∈ {0, 0.3, 0.6}, every smoothing kernel,
-// both traversals, clustered and uniform systems. Per-component
-// deviation must stay within 1 ulp (the evaluation order is preserved,
-// so on non-FMA builds the paths are in fact bitwise equal), and the
-// circulation budget Σ dα/dt — what an integrator adds to Σα — must
-// agree exactly: switching the memory layout cannot change whether
-// total circulation is conserved.
+// list and per-particle-walk evaluation, clustered and uniform
+// systems. Per-component deviation must stay within 1 ulp (the
+// evaluation order is preserved, so on non-FMA builds the paths are in
+// fact bitwise equal), and the circulation budget Σ dα/dt — what an
+// integrator adds to Σα — must agree exactly: switching the memory
+// layout cannot change whether total circulation is conserved.
 func TestLayoutSweepEquivalence(t *testing.T) {
 	systems := map[string]*particle.System{
 		"clustered": particle.ClusteredVortexSheet(240),
@@ -54,30 +103,26 @@ func TestLayoutSweepEquivalence(t *testing.T) {
 		for _, kn := range layoutKernels {
 			sm := kernel.ByName(kn)
 			for _, theta := range []float64{0, 0.3, 0.6} {
-				for _, trav := range []TraversalMode{TraversalList, TraversalRecursive} {
-					n := sys.N()
-					velA := make([]vec.Vec3, n)
-					strA := make([]vec.Vec3, n)
-					velS := make([]vec.Vec3, n)
-					strS := make([]vec.Vec3, n)
-					layoutSolver(sm, theta, trav, particle.LayoutAoS, 2).Eval(sys, velA, strA)
-					layoutSolver(sm, theta, trav, particle.LayoutSoA, 2).Eval(sys, velS, strS)
+				aos, soa, groups, lists := layoutTrees(t, sys, Vortex, theta)
+				for _, mode := range evalModes {
+					velA, strA := vortexOn(aos, sys, sm, theta, groups, lists, mode.walk)
+					velS, strS := vortexOn(soa, sys, sm, theta, groups, lists, mode.walk)
 					var sumA, sumS vec.Vec3
-					for i := 0; i < n; i++ {
+					for i := range velA {
 						if d := maxUlpVec(velA[i], velS[i]); d > 1 {
-							t.Fatalf("%s/%s θ=%g %v: vel[%d] differs by %d ulp (aos %v, soa %v)",
-								sysName, kn, theta, trav, i, d, velA[i], velS[i])
+							t.Fatalf("%s/%s θ=%g %s: vel[%d] differs by %d ulp (aos %v, soa %v)",
+								sysName, kn, theta, mode.name, i, d, velA[i], velS[i])
 						}
 						if d := maxUlpVec(strA[i], strS[i]); d > 1 {
-							t.Fatalf("%s/%s θ=%g %v: stretch[%d] differs by %d ulp",
-								sysName, kn, theta, trav, i, d)
+							t.Fatalf("%s/%s θ=%g %s: stretch[%d] differs by %d ulp",
+								sysName, kn, theta, mode.name, i, d)
 						}
 						sumA = sumA.Add(strA[i])
 						sumS = sumS.Add(strS[i])
 					}
 					if sumA != sumS {
-						t.Fatalf("%s/%s θ=%g %v: Σ dα/dt differs across layouts: aos %v, soa %v",
-							sysName, kn, theta, trav, sumA, sumS)
+						t.Fatalf("%s/%s θ=%g %s: Σ dα/dt differs across layouts: aos %v, soa %v",
+							sysName, kn, theta, mode.name, sumA, sumS)
 					}
 				}
 			}
@@ -86,21 +131,18 @@ func TestLayoutSweepEquivalence(t *testing.T) {
 }
 
 // TestLayoutBitwiseDefaultConfig pins the stronger half of the
-// contract on the configuration the façade ships: with the evaluation
+// contract on the configuration the façade ships (sixth-order
+// algebraic kernel, θ = 0.3, list evaluation): with the evaluation
 // order preserved everywhere, SoA results are bitwise equal to AoS —
 // any regression to "merely close" means an accidental reassociation
 // crept into the batched path.
 func TestLayoutBitwiseDefaultConfig(t *testing.T) {
 	sys := particle.ClusteredVortexSheet(500)
-	n := sys.N()
 	sm := kernel.ByName("algebraic6")
-	velA := make([]vec.Vec3, n)
-	strA := make([]vec.Vec3, n)
-	velS := make([]vec.Vec3, n)
-	strS := make([]vec.Vec3, n)
-	layoutSolver(sm, 0.3, TraversalList, particle.LayoutAoS, 4).Eval(sys, velA, strA)
-	layoutSolver(sm, 0.3, TraversalList, particle.LayoutSoA, 4).Eval(sys, velS, strS)
-	for i := 0; i < n; i++ {
+	aos, soa, groups, lists := layoutTrees(t, sys, Vortex, 0.3)
+	velA, strA := vortexOn(aos, sys, sm, 0.3, groups, lists, false)
+	velS, strS := vortexOn(soa, sys, sm, 0.3, groups, lists, false)
+	for i := range velA {
 		if velA[i] != velS[i] || strA[i] != strS[i] {
 			t.Fatalf("particle %d: SoA not bitwise equal to AoS (vel %v vs %v, stretch %v vs %v)",
 				i, velA[i], velS[i], strA[i], strS[i])
@@ -112,27 +154,44 @@ func TestLayoutBitwiseDefaultConfig(t *testing.T) {
 // sweep: potentials and fields within 1 ulp across layouts.
 func TestLayoutCoulombEquivalence(t *testing.T) {
 	sys := particle.HomogeneousCoulomb(300, 11)
-	n := sys.N()
+	const eps = 1e-3
 	for _, theta := range []float64{0, 0.3, 0.6} {
-		for _, trav := range []TraversalMode{TraversalList, TraversalRecursive} {
-			potA := make([]float64, n)
-			fA := make([]vec.Vec3, n)
-			potS := make([]float64, n)
-			fS := make([]vec.Vec3, n)
-			sA := layoutSolver(kernel.ByName("algebraic6"), theta, trav, particle.LayoutAoS, 2)
-			sA.Coulomb(sys, 1e-3, potA, fA)
-			sS := layoutSolver(kernel.ByName("algebraic6"), theta, trav, particle.LayoutSoA, 2)
-			sS.Coulomb(sys, 1e-3, potS, fS)
-			for i := 0; i < n; i++ {
+		aos, soa, groups, lists := layoutTrees(t, sys, Coulomb, theta)
+		for _, mode := range evalModes {
+			potA, fA := coulombOn(aos, sys, eps, theta, groups, lists, mode.walk)
+			potS, fS := coulombOn(soa, sys, eps, theta, groups, lists, mode.walk)
+			for i := range potA {
 				if d := ulps(potA[i], potS[i]); d > 1 {
-					t.Fatalf("θ=%g %v: pot[%d] differs by %d ulp", theta, trav, i, d)
+					t.Fatalf("θ=%g %s: pot[%d] differs by %d ulp", theta, mode.name, i, d)
 				}
 				if d := maxUlpVec(fA[i], fS[i]); d > 1 {
-					t.Fatalf("θ=%g %v: field[%d] differs by %d ulp", theta, trav, i, d)
+					t.Fatalf("θ=%g %s: field[%d] differs by %d ulp", theta, mode.name, i, d)
 				}
 			}
 		}
 	}
+}
+
+// coulombOn is vortexOn for the Coulomb discipline.
+func coulombOn(tr *Tree, sys *particle.System, eps, theta float64, groups []int32, lists []InteractionList, walk bool) (pot []float64, f []vec.Vec3) {
+	pot = make([]float64, sys.N())
+	f = make([]vec.Vec3, sys.N())
+	for gi, g := range groups {
+		nd := &tr.Nodes[g]
+		for i := nd.First; i < nd.First+nd.Count; i++ {
+			q := tr.Order[i]
+			x := sys.Particles[q].Pos
+			var res CoulombResult
+			if walk {
+				res = tr.CoulombAtNode(tr.Root, x, theta, eps, q)
+			} else {
+				res = tr.EvalCoulombList(&lists[gi], theta, eps, x, q)
+			}
+			pot[q] = res.Phi
+			f[q] = res.E
+		}
+	}
+	return pot, f
 }
 
 // TestMortonPermutationBijection verifies that the radix sort produces
@@ -253,8 +312,10 @@ func TestLayoutInputOrderInvariance(t *testing.T) {
 	strB := make([]vec.Vec3, n)
 	velS := make([]vec.Vec3, n)
 	strS := make([]vec.Vec3, n)
-	layoutSolver(sm, 0.3, TraversalList, particle.LayoutSoA, 3).Eval(base, velB, strB)
-	layoutSolver(sm, 0.3, TraversalList, particle.LayoutSoA, 3).Eval(shuf, velS, strS)
+	s := NewSolver(sm, kernel.Transpose, 0.3)
+	s.Workers = 3
+	s.Eval(base, velB, strB)
+	s.Eval(shuf, velS, strS)
 	for i, p := range perm {
 		if velS[i] != velB[p] || strS[i] != strB[p] {
 			t.Fatalf("particle identity %d: result depends on input ordering", p)

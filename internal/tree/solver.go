@@ -3,7 +3,6 @@ package tree
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/field"
@@ -16,11 +15,10 @@ import (
 
 // Solver is the Barnes-Hut evaluator: every Eval rebuilds the tree for
 // the current particle positions (as PEPC does per force evaluation)
-// and evaluates the field at every target particle. By default targets
-// are processed leaf group by leaf group through the two-phase
-// interaction-list evaluator (see interaction.go) with work-stealing
-// scheduling; Traversal selects the classic per-particle recursive
-// walk instead.
+// and evaluates the field at every target particle. Targets are
+// processed group by group through the two-phase interaction-list
+// evaluator (see interaction.go) over the tree's SoA lanes, with
+// work-stealing scheduling across groups.
 type Solver struct {
 	// Sm and Scheme select the smoothing kernel and stretching form.
 	Sm     kernel.Smoothing
@@ -37,11 +35,6 @@ type Solver struct {
 	// MAC selects the acceptance criterion (default: classical
 	// Barnes-Hut, the paper's choice).
 	MAC MACKind
-	// Traversal selects the evaluator: TraversalList (default) builds
-	// one interaction list per leaf group and schedules groups with
-	// work stealing; TraversalRecursive is the per-particle walk with
-	// static block splits.
-	Traversal TraversalMode
 	// StealGrain is the work-stealing chunk size in leaf groups (≤0:
 	// automatic, ~4 chunks per worker).
 	StealGrain int
@@ -53,11 +46,6 @@ type Solver struct {
 	// layer: moment-flip injection + ABFT verification with rebuild on
 	// detection). Nil costs nothing.
 	Hook BuildHook
-	// Layout selects the evaluation storage: LayoutSoA (the
-	// NewSolver default) gathers Morton-sorted lanes at build and
-	// evaluates through the batched kernels; LayoutAoS is the
-	// reference path. The two are bitwise equal (DESIGN.md §14).
-	Layout particle.Layout
 
 	evals        atomic.Int64
 	interactions atomic.Int64
@@ -74,17 +62,16 @@ type Solver struct {
 	// LastTree is the tree of the most recent Eval (for inspection by
 	// experiments); it is overwritten on every call.
 	LastTree *Tree
-	// LastSched is the scheduler report of the most recent Eval (zero
-	// in recursive mode): steal count and per-worker busy seconds.
+	// LastSched is the scheduler report of the most recent Eval:
+	// steal count and per-worker busy seconds.
 	LastSched sched.Stats
 }
 
 // NewSolver returns a tree evaluator with the given kernel, stretching
-// scheme and MAC parameter θ, with dipole corrections enabled, a
-// bucket size of 8 and the SoA layout.
+// scheme and MAC parameter θ, with dipole corrections enabled and a
+// bucket size of 8.
 func NewSolver(sm kernel.Smoothing, scheme kernel.Scheme, theta float64) *Solver {
-	return &Solver{Sm: sm, Scheme: scheme, Theta: theta, LeafCap: 8, Dipole: true,
-		Layout: particle.LayoutSoA}
+	return &Solver{Sm: sm, Scheme: scheme, Theta: theta, LeafCap: 8, Dipole: true}
 }
 
 // Name implements field.Evaluator.
@@ -111,27 +98,9 @@ func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
 	}
 	s.evals.Add(1)
 	t := BuildArenaWithHook(s.Hook, &s.arenaV, sys,
-		BuildConfig{LeafCap: s.LeafCap, Discipline: Vortex, Layout: s.Layout})
+		BuildConfig{LeafCap: s.LeafCap, Discipline: Vortex, Layout: particle.LayoutSoA})
 	s.LastTree = t
 	pw := kernel.Pairwise{Sm: s.Sm, Sigma: sys.Sigma}
-	if s.Traversal == TraversalRecursive {
-		s.LastSched = sched.Stats{}
-		var inter atomic.Int64
-		//lint:ignore allocfree recursive multi-worker dispatch allocates one closure per Eval; the zero-alloc contract is the single-worker list bypass
-		s.parallelRange(n, func(lo, hi int) {
-			var local int64
-			for q := lo; q < hi; q++ {
-				p := &sys.Particles[q]
-				res := t.VortexAtNodeMAC(s.MAC, t.Root, p.Pos, s.Theta, q, pw, s.Dipole)
-				vel[q] = res.U
-				stretch[q] = s.Scheme.Stretch(res.Grad, p.Alpha)
-				local += res.Interactions
-			}
-			inter.Add(local)
-		})
-		s.interactions.Add(inter.Load())
-		return
-	}
 	s.groupsBuf = t.AppendGroups(s.groupsBuf[:0], s.groupCap())
 	groups := s.groupsBuf
 	if s.workerCount(len(groups)) == 1 {
@@ -221,25 +190,8 @@ func (s *Solver) Coulomb(sys *particle.System, eps float64, pot []float64, f []v
 	}
 	s.evals.Add(1)
 	t := BuildArenaWithHook(s.Hook, &s.arenaC, sys,
-		BuildConfig{LeafCap: s.LeafCap, Discipline: Coulomb, Layout: s.Layout})
+		BuildConfig{LeafCap: s.LeafCap, Discipline: Coulomb, Layout: particle.LayoutSoA})
 	s.LastTree = t
-	if s.Traversal == TraversalRecursive {
-		s.LastSched = sched.Stats{}
-		var inter atomic.Int64
-		//lint:ignore allocfree recursive multi-worker dispatch allocates one closure per Coulomb; the zero-alloc contract is the single-worker list bypass
-		s.parallelRange(n, func(lo, hi int) {
-			var local int64
-			for q := lo; q < hi; q++ {
-				res := t.CoulombAt(sys.Particles[q].Pos, s.Theta, eps, q)
-				pot[q] = res.Phi
-				f[q] = res.E
-				local += res.Interactions
-			}
-			inter.Add(local)
-		})
-		s.interactions.Add(inter.Load())
-		return
-	}
 	s.groupsBuf = t.AppendGroups(s.groupsBuf[:0], s.groupCap())
 	groups := s.groupsBuf
 	if s.workerCount(len(groups)) == 1 {
@@ -282,35 +234,6 @@ func (s *Solver) evalCoulombGroup(t *Tree, sys *particle.System, eps float64, po
 		local += res.Interactions
 	}
 	return local
-}
-
-func (s *Solver) parallelRange(n int, fn func(lo, hi int)) {
-	w := s.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + w - 1) / w
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		//lint:ignore allocfree one goroutine closure per worker per call; only the w<=1 path is on the zero-alloc contract
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 var _ field.Evaluator = (*Solver)(nil)

@@ -60,7 +60,7 @@ func (k MACKind) Accepts(theta float64, nd *Node, x vec.Vec3, dist float64) bool
 }
 
 // acceptsSq is the square-distance form of Accepts — the single
-// per-particle acceptance predicate shared by the recursive traversal
+// per-particle acceptance predicate shared by the per-particle walk
 // and the interaction-list evaluator (both must take identical
 // decisions for the two to agree bitwise). r2 is |x − centroid|².
 func (k MACKind) acceptsSq(theta2 float64, nd *Node, x vec.Vec3, r2 float64) bool {
@@ -172,7 +172,7 @@ func (t *Tree) VortexAtNodeMAC(mac MACKind, start int, x vec.Vec3, theta float64
 
 // AccumVortexFar folds one MAC-accepted cell into res — the multipole
 // (monopole + optional dipole) contribution of node nd at target x.
-// It is the far-field leg shared by the recursive traversal and the
+// It is the far-field leg shared by the per-particle walk and the
 // interaction-list evaluator.
 func (t *Tree) AccumVortexFar(res *VortexResult, node int32, x vec.Vec3, pw kernel.Pairwise, useDipole bool) {
 	nd := &t.Nodes[node]
@@ -282,14 +282,9 @@ func CoulombCell(r vec.Vec3, nd *Node) (float64, vec.Vec3) {
 	return phi, e
 }
 
-// CoulombAt evaluates the softened Coulomb potential and field at the
-// target position.
-func (t *Tree) CoulombAt(x vec.Vec3, theta, eps float64, skipOrig int) CoulombResult {
-	return t.CoulombAtNode(t.Root, x, theta, eps, skipOrig)
-}
-
-// CoulombAtNode is CoulombAt restricted to the subtree rooted at the
-// given node index.
+// CoulombAtNode evaluates the softened Coulomb potential and field at
+// the target position by the per-particle walk of the subtree rooted
+// at the given node index.
 func (t *Tree) CoulombAtNode(start int, x vec.Vec3, theta, eps float64, skipOrig int) CoulombResult {
 	if t.Lanes != nil {
 		return t.coulombAtNodeSoA(start, x, theta, eps, skipOrig)

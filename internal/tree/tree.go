@@ -112,8 +112,10 @@ type BuildConfig struct {
 	OwnedSet         bool
 	// Layout selects the evaluation storage: LayoutSoA additionally
 	// gathers a struct-of-arrays mirror of the sorted particles so the
-	// batched near/far kernels stream lanes linearly. LayoutAoS (the
-	// zero value) keeps the historical reference layout.
+	// batched near/far kernels stream lanes linearly; every production
+	// evaluator builds this way. LayoutAoS (the zero value) gathers no
+	// lanes: the walks read []Particle records — the bitwise reference
+	// of the layout tests.
 	Layout particle.Layout
 }
 

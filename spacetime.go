@@ -17,7 +17,6 @@ import (
 	"repro/internal/particle"
 	"repro/internal/pfasst"
 	"repro/internal/telemetry"
-	"repro/internal/tree"
 )
 
 // ErrCanceled is the typed cancellation sentinel of RunSpaceTimeCtx:
@@ -61,19 +60,9 @@ type SpaceTimeConfig struct {
 	// Threads enables the hybrid per-rank traversal (PEPC's Pthreads
 	// analog); ≤1 is synchronous.
 	Threads int
-	// Traversal selects the tree evaluation strategy: "" or "list" for
-	// the two-phase interaction-list evaluator (the default), or
-	// "recursive" for the per-particle walk with static splits.
-	Traversal string
 	// StealGrain tunes the work-stealing chunk size (leaf groups per
-	// claim) of the hybrid list traversal; ≤0 selects an automatic
-	// grain.
+	// claim) of the hybrid traversal; ≤0 selects an automatic grain.
 	StealGrain int
-	// Layout selects the particle storage of the evaluation hot path:
-	// "" or "soa" for the Morton-gathered struct-of-arrays lanes with
-	// batched kernels (the default), "aos" for the array-of-structs
-	// reference path. Results are bitwise equal (DESIGN.md §14).
-	Layout string
 	// Branch selects the branch-node exchange algorithm of the spatial
 	// tree code: "" or "ring" for the reference ring allgather with
 	// on-demand fetches, "batched" for the Bruck exchange with
@@ -237,17 +226,7 @@ func RunSpaceTimeCtx(ctx context.Context, cfg SpaceTimeConfig, sys *System, t0, 
 	}
 	ccfg.Tol = cfg.Tol
 	ccfg.Threads = cfg.Threads
-	trav, err := tree.ParseTraversal(cfg.Traversal)
-	if err != nil {
-		return nil, SpaceTimeStats{}, err
-	}
-	ccfg.Traversal = trav
 	ccfg.StealGrain = cfg.StealGrain
-	layout, err := particle.ParseLayout(cfg.Layout)
-	if err != nil {
-		return nil, SpaceTimeStats{}, err
-	}
-	ccfg.Layout = layout
 	branch, err := hot.ParseBranchMode(cfg.Branch)
 	if err != nil {
 		return nil, SpaceTimeStats{}, err
